@@ -11,7 +11,7 @@ use pp_schedulers::{
     ClusteredScheduler, LazyAdversaryScheduler, RoundRobinScheduler, ShuffledRoundsScheduler,
 };
 
-use crate::runner::seed_range;
+use crate::runner::{seed_range, trial_rng};
 use crate::stats::Summary;
 use crate::table::{fmt_f64, Table};
 use crate::trial::{run_trial, Backend, TrialResult, TrialRunner};
@@ -81,12 +81,12 @@ fn trial_for(
     match scheduler_name {
         // The uniform-random row is engine-agnostic: it dispatches through
         // the backend like every ported experiment.
-        "uniform" => backend.trial(protocol, inputs, seed, expected, max_steps),
+        "uniform" => backend.trial(protocol, inputs, 0, seed, expected, max_steps),
         "round-robin" => run_trial(
             protocol,
             inputs,
             RoundRobinScheduler::new(),
-            seed,
+            trial_rng(0, seed),
             expected,
             max_steps,
         ),
@@ -94,7 +94,7 @@ fn trial_for(
             protocol,
             inputs,
             ShuffledRoundsScheduler::new(),
-            seed,
+            trial_rng(0, seed),
             expected,
             max_steps,
         ),
@@ -105,7 +105,7 @@ fn trial_for(
                 protocol,
                 inputs,
                 LazyAdversaryScheduler::new(*protocol, window),
-                seed,
+                trial_rng(0, seed),
                 expected,
                 max_steps,
             )
@@ -114,7 +114,7 @@ fn trial_for(
             protocol,
             inputs,
             ClusteredScheduler::new(16),
-            seed,
+            trial_rng(0, seed),
             expected,
             max_steps,
         ),
@@ -122,7 +122,7 @@ fn trial_for(
             protocol,
             inputs,
             ClusteredScheduler::new(256),
-            seed,
+            trial_rng(0, seed),
             expected,
             max_steps,
         ),

@@ -11,7 +11,7 @@ use circles_core::{CirclesProtocol, Color};
 use pp_extensions::unordered::UnorderedCircles;
 use pp_protocol::{EnumerableProtocol, Population, UniformPairScheduler};
 
-use crate::runner::{run_seeded, seed_range};
+use crate::runner::{run_seeded, seed_range, trial_rng};
 use crate::stats::Summary;
 use crate::table::{fmt_f64, Table};
 use crate::trial::{run_trial, Backend};
@@ -112,7 +112,7 @@ fn vanilla_mean(n: usize, k: u16, seeds: &[u64], threads: usize, max_steps: u64)
             &protocol,
             &shuffled_inputs,
             UniformPairScheduler::new(),
-            seed,
+            trial_rng(0, seed),
             expected,
             max_steps,
         )

@@ -93,7 +93,7 @@ fn contenders(backend: Backend) -> Vec<Contender> {
     {
         Box::new(move |inputs, seed, expected, max_steps| {
             backend
-                .trial(&protocol, inputs, seed, expected, max_steps)
+                .trial(&protocol, inputs, 0, seed, expected, max_steps)
                 .expect("trial failed")
         })
     }

@@ -11,8 +11,8 @@ use std::time::{Duration, Instant};
 
 use circles_core::Color;
 use pp_protocol::{
-    Activity, CompactCountEngine, CountConfig, CountEngine, FrameworkError, Population, Protocol,
-    RunReport, Scheduler, Simulation, SparseActivity, TableSnapshot, TransitionTable,
+    CompactCountEngine, CountConfig, CountEngine, FrameworkError, Population, Protocol, RunReport,
+    Scheduler, SimStats, Simulation, SparseActivity, TableSnapshot, TransitionTable,
     UniformCountScheduler, UniformPairScheduler,
 };
 use rand::RngCore;
@@ -34,6 +34,37 @@ pub struct TrialResult {
     pub stabilized: bool,
     /// Whether the final unanimous output equals the expected winner.
     pub correct: bool,
+}
+
+impl TrialResult {
+    /// Grades a run's outcome: a report is a stabilized trial, correct when
+    /// its consensus is `expected`. Budget exhaustion is a *finding*, not an
+    /// error — `stabilized == false, correct == false`, with the counters
+    /// (`stats`) the run reached. Other framework errors propagate.
+    fn from_run(
+        outcome: Result<RunReport<Color>, FrameworkError>,
+        stats: SimStats,
+        expected: Color,
+        max_steps: u64,
+    ) -> Result<Self, FrameworkError> {
+        match outcome {
+            Ok(report) => Ok(TrialResult {
+                steps_to_silence: report.steps_to_silence,
+                steps_to_consensus: report.steps_to_consensus,
+                state_changes: report.state_changes,
+                stabilized: true,
+                correct: report.consensus == Some(expected),
+            }),
+            Err(FrameworkError::MaxStepsExceeded { .. }) => Ok(TrialResult {
+                steps_to_silence: stats.last_change_step,
+                steps_to_consensus: max_steps,
+                state_changes: stats.state_changes,
+                stabilized: false,
+                correct: false,
+            }),
+            Err(e) => Err(e),
+        }
+    }
 }
 
 /// What a *supervised* trial settled to; see [`SupervisedRunner`].
@@ -190,38 +221,17 @@ impl Backend {
         }
     }
 
-    /// Runs one uniform-random trial on this backend — the
-    /// backend-dispatching form of [`run_trial`]/[`run_count_trial`] that
-    /// experiments sweep over a `Params::backend` field. Equivalent to
-    /// [`trial_stream`](Self::trial_stream) with sweep seed `0`.
+    /// Runs one uniform-random trial on this backend, drawing from the
+    /// counter-based stream `(sweep_seed, seed)` ([`trial_rng`]) — the
+    /// entry point [`TrialRunner`] fans out, and that experiments sweep over
+    /// a `Params::backend` field. The result depends only on the key pair,
+    /// never on threading or sweep order.
     ///
     /// # Errors
     ///
     /// Propagates non-budget framework errors (budget exhaustion is a
     /// recorded finding, as in [`run_trial`]).
     pub fn trial<P>(
-        self,
-        protocol: &P,
-        inputs: &[P::Input],
-        seed: u64,
-        expected: Color,
-        max_steps: u64,
-    ) -> Result<TrialResult, FrameworkError>
-    where
-        P: Protocol<Output = Color>,
-    {
-        self.trial_stream(protocol, inputs, 0, seed, expected, max_steps)
-    }
-
-    /// [`trial`](Self::trial) on the explicit counter-based stream
-    /// `(sweep_seed, seed)` — the form [`TrialRunner`] dispatches, whose
-    /// results depend only on the key pair, not on threading or sweep
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates non-budget framework errors.
-    pub fn trial_stream<P>(
         self,
         protocol: &P,
         inputs: &[P::Input],
@@ -235,7 +245,7 @@ impl Backend {
     {
         let rng = trial_rng(sweep_seed, seed);
         match self {
-            Backend::Indexed => run_trial_rng(
+            Backend::Indexed => run_trial(
                 protocol,
                 inputs,
                 UniformPairScheduler::new(),
@@ -243,7 +253,7 @@ impl Backend {
                 expected,
                 max_steps,
             ),
-            Backend::Count => run_count_trial_rng(protocol, inputs, rng, expected, max_steps),
+            Backend::Count => count_trial(protocol, inputs, rng, expected, max_steps, None),
         }
     }
 
@@ -365,7 +375,6 @@ pub struct TrialRunner {
     threads: usize,
     max_steps: u64,
     seeds: Vec<u64>,
-    warm: bool,
     sweep_seed: u64,
     table_cache: Option<std::path::PathBuf>,
 }
@@ -379,7 +388,6 @@ impl TrialRunner {
             threads: default_threads(),
             max_steps: u64::MAX / 2,
             seeds: (0..32).collect(),
-            warm: false,
             sweep_seed: 0,
             table_cache: None,
         }
@@ -423,24 +431,12 @@ impl TrialRunner {
         self
     }
 
-    /// Enables warm-started trials on the [`Backend::Count`] backend: each
-    /// [`run`](Self::run) threads one [`TransitionTable`] through all its
-    /// trials, so only the first seed pays the `O(slots²)` protocol
-    /// discovery and the rest bulk-load it. No effect on the indexed
-    /// backend (which has no discovery phase). Use
-    /// [`run_with_table`](Self::run_with_table) to share one table across
-    /// several sweeps of the same protocol.
-    pub fn warm(mut self, warm: bool) -> Self {
-        self.warm = warm;
-        self
-    }
-
     /// Sets the directory [`run_cached`](Self::run_cached) persists
     /// discovered transition tables in, keyed by protocol identity
     /// fingerprint — see [`TableCache`].
     /// Without this, `run_cached` falls back to the `PP_TABLE_CACHE`
-    /// environment variable, and with neither set behaves exactly like a
-    /// warm [`run`](Self::run).
+    /// environment variable, and with neither set behaves exactly like
+    /// [`run_with_table`](Self::run_with_table) on a fresh table.
     pub fn table_cache_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.table_cache = Some(dir.into());
         self
@@ -460,16 +456,12 @@ impl TrialRunner {
         P::Input: Sync,
         P::State: Send + Sync,
     {
-        if self.warm && self.backend == Backend::Count {
-            let table = TransitionTable::new();
-            return self.run_with_table(protocol, inputs, expected, &table);
-        }
         let backend = self.backend;
         let max_steps = self.max_steps;
         let sweep = self.sweep_seed;
         run_seeded(&self.seeds, self.threads, |seed| {
             backend
-                .trial_stream(protocol, inputs, sweep, seed, expected, max_steps)
+                .trial(protocol, inputs, sweep, seed, expected, max_steps)
                 .expect("trial failed")
         })
     }
@@ -511,13 +503,13 @@ impl TrialRunner {
         if table.is_empty() {
             if let Some((&first, tail)) = self.seeds.split_first() {
                 results.push(
-                    run_count_trial_warm_rng(
+                    count_trial(
                         protocol,
                         inputs,
                         trial_rng(sweep, first),
                         expected,
                         max_steps,
-                        table,
+                        Some((table.snapshot(), table)),
                     )
                     .expect("trial failed"),
                 );
@@ -531,14 +523,13 @@ impl TrialRunner {
         // thread counts.
         let snap = table.snapshot();
         results.extend(run_seeded(rest, self.threads, |seed| {
-            run_count_trial_warm_snap_rng(
+            count_trial(
                 protocol,
                 inputs,
                 trial_rng(sweep, seed),
                 expected,
                 max_steps,
-                &snap,
-                table,
+                Some((Arc::clone(&snap), table)),
             )
             .expect("trial failed")
         }));
@@ -555,8 +546,10 @@ impl TrialRunner {
     /// written back whenever the sweep grew it. Results are bit-identical
     /// in all three cases — the cache can only save time.
     ///
-    /// With no cache configured, or on the indexed backend (which has no
-    /// discovery to persist), this is exactly a warm [`run`](Self::run).
+    /// With no cache configured this is exactly
+    /// [`run_with_table`](Self::run_with_table) on a fresh table, and on the
+    /// indexed backend (which has no discovery to persist) exactly
+    /// [`run`](Self::run).
     ///
     /// The extra `Display`/`FromStr` bounds are the store's state codec;
     /// they are why this is a separate method rather than `run` behaviour.
@@ -581,7 +574,7 @@ impl TrialRunner {
             None => TableCache::from_env(),
         };
         let Some(cache) = cache else {
-            return self.clone().warm(true).run(protocol, inputs, expected);
+            return self.run_with_table(protocol, inputs, expected, &TransitionTable::new());
         };
         if self.backend != Backend::Count {
             return self.run(protocol, inputs, expected);
@@ -716,7 +709,7 @@ impl SupervisedRunner {
         let deadline = self.deadline.filter(|_| backend == Backend::Count);
         self.supervise(|seed| {
             let attempt = catch_unwind(AssertUnwindSafe(|| match deadline {
-                Some(deadline) => run_count_trial_supervised(
+                Some(deadline) => supervised_count_trial(
                     protocol,
                     inputs,
                     sweep,
@@ -727,14 +720,12 @@ impl SupervisedRunner {
                     self.checkpoint_every,
                     self.max_attempts,
                 ),
-                None => {
-                    match backend.trial_stream(protocol, inputs, sweep, seed, expected, max_steps) {
-                        Ok(result) => TrialVerdict::Completed(result),
-                        Err(e) => TrialVerdict::Poisoned {
-                            message: format!("framework error: {e}"),
-                        },
-                    }
-                }
+                None => match backend.trial(protocol, inputs, sweep, seed, expected, max_steps) {
+                    Ok(result) => TrialVerdict::Completed(result),
+                    Err(e) => TrialVerdict::Poisoned {
+                        message: format!("framework error: {e}"),
+                    },
+                },
             }));
             attempt.unwrap_or_else(|payload| TrialVerdict::Poisoned {
                 message: panic_message(payload.as_ref()),
@@ -840,8 +831,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Runs a protocol whose output is a [`Color`] to silence under the given
-/// indexed scheduler and compares the consensus with `expected`. The RNG is
-/// the counter-based trial stream `(0, seed)`.
+/// indexed scheduler, drawing from `rng` (normally a [`trial_rng`] stream),
+/// and compares the consensus with `expected`.
 ///
 /// A run that exhausts `max_steps` without silence is reported with
 /// `stabilized == false, correct == false` rather than as an error — for
@@ -850,35 +841,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// # Errors
 ///
 /// Propagates non-budget framework errors (scheduler misbehaviour).
-pub fn run_trial<P, Sch>(
-    protocol: &P,
-    inputs: &[P::Input],
-    scheduler: Sch,
-    seed: u64,
-    expected: Color,
-    max_steps: u64,
-) -> Result<TrialResult, FrameworkError>
-where
-    P: Protocol<Output = Color>,
-    Sch: Scheduler<P::State>,
-{
-    run_trial_rng(
-        protocol,
-        inputs,
-        scheduler,
-        trial_rng(0, seed),
-        expected,
-        max_steps,
-    )
-}
-
-/// [`run_trial`] with an explicitly constructed generator (e.g. a
-/// [`trial_rng`] stream with a non-zero sweep seed).
-///
-/// # Errors
-///
-/// Propagates non-budget framework errors (scheduler misbehaviour).
-pub fn run_trial_rng<P, Sch, R>(
+pub fn run_trial<P, Sch, R>(
     protocol: &P,
     inputs: &[P::Input],
     scheduler: Sch,
@@ -894,206 +857,60 @@ where
     let population = Population::from_inputs(protocol, inputs);
     let check_interval = (population.len() as u64).max(16);
     let mut sim = Simulation::with_rng(protocol, population, scheduler, rng);
-    match sim.run_until_silent(max_steps, check_interval) {
-        Ok(report) => Ok(TrialResult {
-            steps_to_silence: report.steps_to_silence,
-            steps_to_consensus: report.steps_to_consensus,
-            state_changes: report.state_changes,
-            stabilized: true,
-            correct: report.consensus == Some(expected),
-        }),
-        Err(FrameworkError::MaxStepsExceeded { .. }) => Ok(TrialResult {
-            steps_to_silence: sim.stats().last_change_step,
-            steps_to_consensus: max_steps,
-            state_changes: sim.stats().state_changes,
-            stabilized: false,
-            correct: false,
-        }),
-        Err(e) => Err(e),
-    }
+    let outcome = sim.run_until_silent(max_steps, check_interval);
+    TrialResult::from_run(outcome, sim.stats(), expected, max_steps)
 }
 
-/// Like [`run_trial`] but on the batched count engine (uniform-random
-/// scheduling only) — the fast path for large populations. The RNG is the
-/// counter-based trial stream `(0, seed)`.
-///
-/// # Errors
-///
-/// Propagates non-budget framework errors.
-pub fn run_count_trial<P>(
-    protocol: &P,
-    inputs: &[P::Input],
-    seed: u64,
-    expected: Color,
-    max_steps: u64,
-) -> Result<TrialResult, FrameworkError>
-where
-    P: Protocol<Output = Color>,
-{
-    run_count_trial_rng(protocol, inputs, trial_rng(0, seed), expected, max_steps)
-}
+/// A warm trial's view of a shared table: the epoch snapshot it reads and
+/// the table it publishes its discoveries to.
+type WarmStart<'t, P> = (
+    Arc<TableSnapshot<<P as Protocol>::State>>,
+    &'t TransitionTable<P>,
+);
 
-/// [`run_count_trial`] with an explicitly constructed generator.
-///
-/// # Errors
-///
-/// Propagates non-budget framework errors.
-pub fn run_count_trial_rng<P, R>(
+/// One count-backend trial drawing from `rng`: cold on the sparse index,
+/// or — given an epoch `snapshot` of `table` — warm on the compact index,
+/// exporting the trial's discoveries back into `table` afterwards (even on
+/// budget exhaustion: partial structure is still valid structure). Slot
+/// numbering is canonical, so a warm trial is bit-identical to the cold
+/// trial of the same stream whatever the table contains; the compact rows
+/// only keep the per-trial adjacency an order of magnitude under the flat
+/// layout.
+fn count_trial<P, R>(
     protocol: &P,
     inputs: &[P::Input],
     rng: R,
     expected: Color,
     max_steps: u64,
+    warm: Option<WarmStart<'_, P>>,
 ) -> Result<TrialResult, FrameworkError>
 where
     P: Protocol<Output = Color>,
     R: RngCore,
 {
     let config: CountConfig<P::State> = inputs.iter().map(|i| protocol.input(i)).collect();
-    let mut engine = CountEngine::<_, _, SparseActivity, _>::with_rng(
-        protocol,
-        config,
-        UniformCountScheduler::new(),
-        rng,
-    );
-    count_trial_outcome(&mut engine, expected, max_steps)
-}
-
-/// Like [`run_count_trial`], but warm-started from `table`, used as a
-/// lookup oracle: activity and outcomes the table already knows replace
-/// protocol calls, while slot numbering stays canonical — the result is
-/// **bit-identical** to the cold [`run_count_trial`] of the same seed,
-/// whatever the table contains. The trial's own discoveries are exported
-/// back into the table afterwards (even on budget exhaustion: partial
-/// structure is still valid structure).
-///
-/// Warm trials run on the [`CompactCountEngine`], whose compressed rows
-/// keep the per-trial adjacency footprint more than an order of magnitude
-/// under the flat layout. Sampling is representation-independent, so this
-/// changes no trajectory.
-///
-/// # Errors
-///
-/// Propagates non-budget framework errors.
-pub fn run_count_trial_warm<P>(
-    protocol: &P,
-    inputs: &[P::Input],
-    seed: u64,
-    expected: Color,
-    max_steps: u64,
-    table: &TransitionTable<P>,
-) -> Result<TrialResult, FrameworkError>
-where
-    P: Protocol<Output = Color>,
-{
-    run_count_trial_warm_rng(
-        protocol,
-        inputs,
-        trial_rng(0, seed),
-        expected,
-        max_steps,
-        table,
-    )
-}
-
-/// [`run_count_trial_warm`] with an explicitly constructed generator.
-///
-/// # Errors
-///
-/// Propagates non-budget framework errors.
-pub fn run_count_trial_warm_rng<P, R>(
-    protocol: &P,
-    inputs: &[P::Input],
-    rng: R,
-    expected: Color,
-    max_steps: u64,
-    table: &TransitionTable<P>,
-) -> Result<TrialResult, FrameworkError>
-where
-    P: Protocol<Output = Color>,
-    R: RngCore,
-{
-    let config: CountConfig<P::State> = inputs.iter().map(|i| protocol.input(i)).collect();
-    let mut engine = CompactCountEngine::<_, _, R>::with_table_rng(
-        protocol,
-        config,
-        UniformCountScheduler::new(),
-        rng,
-        table,
-    );
-    let result = count_trial_outcome(&mut engine, expected, max_steps);
-    engine.export_to(table);
-    result
-}
-
-/// [`run_count_trial_warm_rng`] against a pre-captured epoch snapshot: the
-/// trial warm-starts from `snapshot` (no per-trial capture) and still
-/// publishes its discoveries to `table`. [`TrialRunner::run_with_table`]
-/// captures one snapshot per sweep and funnels every fanned-out trial
-/// through here.
-///
-/// # Errors
-///
-/// Propagates non-budget framework errors.
-pub fn run_count_trial_warm_snap_rng<P, R>(
-    protocol: &P,
-    inputs: &[P::Input],
-    rng: R,
-    expected: Color,
-    max_steps: u64,
-    snapshot: &Arc<TableSnapshot<P::State>>,
-    table: &TransitionTable<P>,
-) -> Result<TrialResult, FrameworkError>
-where
-    P: Protocol<Output = Color>,
-    R: RngCore,
-{
-    let config: CountConfig<P::State> = inputs.iter().map(|i| protocol.input(i)).collect();
-    let mut engine = CompactCountEngine::<_, _, R>::with_snapshot_rng(
-        protocol,
-        config,
-        UniformCountScheduler::new(),
-        rng,
-        Arc::clone(snapshot),
-    );
-    let result = count_trial_outcome(&mut engine, expected, max_steps);
-    engine.export_to(table);
-    result
-}
-
-/// Shared measurement tail of the count-backend trial runners.
-fn count_trial_outcome<P, A, R>(
-    engine: &mut CountEngine<'_, P, UniformCountScheduler, A, R>,
-    expected: Color,
-    max_steps: u64,
-) -> Result<TrialResult, FrameworkError>
-where
-    P: Protocol<Output = Color>,
-    A: Activity,
-    R: RngCore,
-{
-    match engine.run_until_silent(max_steps) {
-        Ok(report) => Ok(TrialResult {
-            steps_to_silence: report.steps_to_silence,
-            steps_to_consensus: report.steps_to_consensus,
-            state_changes: report.state_changes,
-            stabilized: true,
-            correct: report.consensus == Some(expected),
-        }),
-        Err(FrameworkError::MaxStepsExceeded { .. }) => Ok(TrialResult {
-            steps_to_silence: engine.stats().last_change_step,
-            steps_to_consensus: max_steps,
-            state_changes: engine.stats().state_changes,
-            stabilized: false,
-            correct: false,
-        }),
-        Err(e) => Err(e),
+    let scheduler = UniformCountScheduler::new();
+    match warm {
+        None => {
+            let mut engine =
+                CountEngine::<_, _, SparseActivity, _>::with_rng(protocol, config, scheduler, rng);
+            let outcome = engine.run_until_silent(max_steps);
+            TrialResult::from_run(outcome, engine.stats(), expected, max_steps)
+        }
+        Some((snapshot, table)) => {
+            let mut engine = CompactCountEngine::<_, _, R>::with_snapshot_rng(
+                protocol, config, scheduler, rng, snapshot,
+            );
+            let outcome = engine.run_until_silent(max_steps);
+            engine.export_to(table);
+            TrialResult::from_run(outcome, engine.stats(), expected, max_steps)
+        }
     }
 }
 
 /// A deadline-bounded count-backend trial: runs the same cold sparse engine
-/// as [`Backend::Count`]'s [`trial_stream`](Backend::trial_stream) (so a
-/// completed verdict is bit-identical to the unsupervised trial of the same
+/// as [`Backend::Count`]'s [`trial`](Backend::trial) (so a completed
+/// verdict is bit-identical to the unsupervised trial of the same
 /// `(sweep_seed, seed)`), but offers a pause point to a wall-clock deadline
 /// every `checkpoint_every` state changes. When the deadline fires, the
 /// engine checkpoints in memory and the trial retries *from that
@@ -1105,7 +922,7 @@ where
 /// checkpoint resume is exact, so a trial that pauses and resumes any
 /// number of times still produces the uninterrupted trial's numbers.
 #[allow(clippy::too_many_arguments)]
-pub fn run_count_trial_supervised<P>(
+fn supervised_count_trial<P>(
     protocol: &P,
     inputs: &[P::Input],
     sweep_seed: u64,
@@ -1141,24 +958,6 @@ where
             }
         });
         match outcome {
-            Ok(report) => {
-                return TrialVerdict::Completed(TrialResult {
-                    steps_to_silence: report.steps_to_silence,
-                    steps_to_consensus: report.steps_to_consensus,
-                    state_changes: report.state_changes,
-                    stabilized: true,
-                    correct: report.consensus == Some(expected),
-                });
-            }
-            Err(FrameworkError::MaxStepsExceeded { .. }) => {
-                return TrialVerdict::Completed(TrialResult {
-                    steps_to_silence: engine.stats().last_change_step,
-                    steps_to_consensus: max_steps,
-                    state_changes: engine.stats().state_changes,
-                    stabilized: false,
-                    correct: false,
-                });
-            }
             Err(FrameworkError::Interrupted { .. }) => {
                 if attempts >= max_attempts {
                     return TrialVerdict::DeadlineExceeded { attempts };
@@ -1170,9 +969,12 @@ where
                 engine = CountEngine::resume(protocol, UniformCountScheduler::new(), &checkpoint)
                     .expect("an in-memory checkpoint of a live engine is always resumable");
             }
-            Err(e) => {
-                return TrialVerdict::Poisoned {
-                    message: format!("framework error: {e}"),
+            outcome => {
+                return match TrialResult::from_run(outcome, engine.stats(), expected, max_steps) {
+                    Ok(result) => TrialVerdict::Completed(result),
+                    Err(e) => TrialVerdict::Poisoned {
+                        message: format!("framework error: {e}"),
+                    },
                 };
             }
         }
@@ -1192,7 +994,7 @@ mod tests {
             &protocol,
             &inputs,
             UniformPairScheduler::new(),
-            1,
+            trial_rng(0, 1),
             Color(0),
             1_000_000,
         )
@@ -1211,7 +1013,7 @@ mod tests {
             &protocol,
             &inputs,
             UniformPairScheduler::new(),
-            2,
+            trial_rng(0, 2),
             Color(0),
             3,
         )
@@ -1224,7 +1026,9 @@ mod tests {
     fn count_trial_matches_expectation() {
         let protocol = CirclesProtocol::new(2).unwrap();
         let inputs: Vec<Color> = (0..50).map(|i| Color(u16::from(i < 30))).collect();
-        let result = run_count_trial(&protocol, &inputs, 3, Color(1), 10_000_000).unwrap();
+        let result = Backend::Count
+            .trial(&protocol, &inputs, 0, 3, Color(1), 10_000_000)
+            .unwrap();
         assert!(result.stabilized);
         assert!(result.correct);
     }
@@ -1233,7 +1037,9 @@ mod tests {
     fn count_trial_budget_exhaustion_records_partial_stats() {
         let protocol = CirclesProtocol::new(3).unwrap();
         let inputs: Vec<Color> = (0..60).map(|i| Color((i % 3) as u16)).collect();
-        let result = run_count_trial(&protocol, &inputs, 2, Color(0), 3).unwrap();
+        let result = Backend::Count
+            .trial(&protocol, &inputs, 0, 2, Color(0), 3)
+            .unwrap();
         assert!(!result.stabilized);
         assert!(!result.correct);
         assert_eq!(result.steps_to_consensus, 3);
@@ -1289,9 +1095,6 @@ mod tests {
         let again = runner.run_with_table(&protocol, &inputs, Color(0), &table);
         assert_eq!(again, cold, "an already-warm table changes nothing");
         assert_eq!(table.len(), before, "warm sweep discovers nothing new");
-        // The builder flag routes through the same path.
-        let flagged = runner.clone().warm(true).run(&protocol, &inputs, Color(0));
-        assert_eq!(flagged, cold);
     }
 
     #[test]
@@ -1303,12 +1106,20 @@ mod tests {
         let inputs: Vec<Color> = (0..50).map(|i| Color((i % 3) as u16)).collect();
         for seed in 0..5 {
             let table = TransitionTable::new();
-            let cold =
-                run_count_trial_warm(&protocol, &inputs, seed, Color(0), u64::MAX / 2, &table)
-                    .unwrap();
-            let warm =
-                run_count_trial_warm(&protocol, &inputs, seed, Color(0), u64::MAX / 2, &table)
-                    .unwrap();
+            let warm_trial = || {
+                let warm = Some((table.snapshot(), &table));
+                count_trial(
+                    &protocol,
+                    &inputs,
+                    trial_rng(0, seed),
+                    Color(0),
+                    u64::MAX / 2,
+                    warm,
+                )
+                .unwrap()
+            };
+            let cold = warm_trial();
+            let warm = warm_trial();
             assert_eq!(warm, cold, "seed {seed}");
         }
     }
@@ -1319,7 +1130,7 @@ mod tests {
         let inputs: Vec<Color> = (0..40).map(|i| Color(u16::from(i < 10))).collect();
         for backend in Backend::ALL {
             let result = backend
-                .trial(&protocol, &inputs, 4, Color(0), 100_000_000)
+                .trial(&protocol, &inputs, 0, 4, Color(0), 100_000_000)
                 .unwrap();
             assert!(result.stabilized && result.correct, "{}", backend.name());
         }
@@ -1348,7 +1159,7 @@ mod tests {
                 panic!("injected fault in seed 3");
             }
             Backend::Count
-                .trial_stream(&protocol, &inputs, 0, seed, Color(0), u64::MAX / 2)
+                .trial(&protocol, &inputs, 0, seed, Color(0), u64::MAX / 2)
                 .expect("trial failed")
         });
         assert_eq!(verdicts.len(), 6);
@@ -1376,7 +1187,7 @@ mod tests {
         let inputs: Vec<Color> = (0..60).map(|i| Color((i % 3) as u16)).collect();
         let runner = TrialRunner::new(Backend::Count).seeds(5).threads(2);
         let clean = runner.run(&protocol, &inputs, Color(0));
-        // No deadline: the plain trial_stream path.
+        // No deadline: the plain Backend::trial path.
         let plain = runner
             .clone()
             .supervised()
@@ -1403,9 +1214,9 @@ mod tests {
         let protocol = CirclesProtocol::new(3).unwrap();
         let inputs: Vec<Color> = (0..50).map(|i| Color((i % 3) as u16)).collect();
         let clean = Backend::Count
-            .trial_stream(&protocol, &inputs, 0, 1, Color(0), u64::MAX / 2)
+            .trial(&protocol, &inputs, 0, 1, Color(0), u64::MAX / 2)
             .unwrap();
-        let verdict = run_count_trial_supervised(
+        let verdict = supervised_count_trial(
             &protocol,
             &inputs,
             0,
@@ -1423,7 +1234,7 @@ mod tests {
     fn deadline_give_up_is_a_typed_verdict_with_the_attempt_count() {
         let protocol = CirclesProtocol::new(3).unwrap();
         let inputs: Vec<Color> = (0..60).map(|i| Color((i % 3) as u16)).collect();
-        let verdict = run_count_trial_supervised(
+        let verdict = supervised_count_trial(
             &protocol,
             &inputs,
             0,
@@ -1454,7 +1265,7 @@ mod tests {
         let trial = |seed: u64| {
             computed.fetch_add(1, Ordering::Relaxed);
             Backend::Count
-                .trial_stream(&protocol, &inputs, 0, seed, Color(0), u64::MAX / 2)
+                .trial(&protocol, &inputs, 0, seed, Color(0), u64::MAX / 2)
                 .expect("trial failed")
         };
         let first = supervised.run_with(trial);

@@ -118,12 +118,12 @@ fn bench_checkpoint_overhead(c: &mut Criterion) {
     let (ratio, offers) = match &table {
         Some(table) => measure_overhead(
             || {
-                CompactCountEngine::<_, _, Philox4x32>::with_table_rng(
+                CompactCountEngine::<_, _, Philox4x32>::with_snapshot_rng(
                     &protocol,
                     config(n, k),
                     UniformCountScheduler::new(),
                     Philox4x32::stream(0, 9),
-                    table,
+                    table.snapshot(),
                 )
             },
             reps,

@@ -151,12 +151,12 @@ fn bench_hazard_large_n(c: &mut Criterion) {
         let mut hazard_rng = Philox4x32::stream(0, seed | 1 << 63);
         match &table {
             Some(table) => {
-                let mut engine = CompactCountEngine::<_, _, Philox4x32>::with_table_rng(
+                let mut engine = CompactCountEngine::<_, _, Philox4x32>::with_snapshot_rng(
                     &protocol,
                     config_from(&counts),
                     UniformCountScheduler::new(),
                     Philox4x32::stream(0, seed),
-                    table,
+                    table.snapshot(),
                 );
                 run_circles_hazards(
                     &mut engine,

@@ -26,57 +26,22 @@
 //! asserts the two `RunReport`s are bit-identical — the store can only
 //! save time, never change a trajectory.
 
-use std::cell::Cell;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use circles_core::{CirclesProtocol, CirclesState};
 use pp_analysis::workloads::margin_workload;
+use pp_bench::CallCounter;
 use pp_protocol::transition_store;
 use pp_protocol::{
     CompactCountEngine, CountConfig, CountEngine, Protocol, TransitionTable, UniformCountScheduler,
 };
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 const K: u16 = 30;
 const N: usize = 3_000;
-
-/// Forwards to an inner protocol while counting transition calls.
-struct CallCounter<'a> {
-    inner: &'a CirclesProtocol,
-    calls: Cell<u64>,
-}
-
-impl Protocol for CallCounter<'_> {
-    type State = CirclesState;
-    type Input = circles_core::Color;
-    type Output = circles_core::Color;
-
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn input(&self, input: &Self::Input) -> Self::State {
-        self.inner.input(input)
-    }
-
-    fn output(&self, state: &Self::State) -> Self::Output {
-        self.inner.output(state)
-    }
-
-    fn transition(&self, a: &Self::State, b: &Self::State) -> (Self::State, Self::State) {
-        self.calls.set(self.calls.get() + 1);
-        self.inner.transition(a, b)
-    }
-
-    fn is_symmetric(&self) -> bool {
-        self.inner.is_symmetric()
-    }
-
-    fn fingerprint_param(&self) -> u64 {
-        self.inner.fingerprint_param()
-    }
-}
 
 fn bench_table_store(c: &mut Criterion) {
     let protocol = CirclesProtocol::new(K).unwrap();
@@ -112,15 +77,12 @@ fn bench_table_store(c: &mut Criterion) {
     // Load: disk -> verified table, asserted zero protocol calls (the
     // loader never receives the protocol's transition function, but the
     // counter documents the contract end-to-end anyway).
-    let counter = CallCounter {
-        inner: &protocol,
-        calls: Cell::new(0),
-    };
+    let counter = CallCounter::new(&protocol);
     let start = Instant::now();
-    let loaded: TransitionTable<CallCounter<'_>> =
+    let loaded: TransitionTable<CallCounter<'_, CirclesProtocol>> =
         transition_store::load(&counter, &store_path).unwrap();
     let load_ns = start.elapsed().as_nanos() as f64;
-    assert_eq!(counter.calls.get(), 0, "loading must make zero calls");
+    assert_eq!(counter.calls(), 0, "loading must make zero calls");
     let slots = loaded.len();
     let file_bytes = std::fs::metadata(&store_path).unwrap().len();
     assert!(
@@ -133,18 +95,18 @@ fn bench_table_store(c: &mut Criterion) {
     let states = loaded.dump().states;
     let counted_config: CountConfig<CirclesState> =
         inputs.iter().map(|i| counter.input(i)).collect();
-    counter.calls.set(0);
+    counter.reset();
     let start = Instant::now();
-    let mut warm = CompactCountEngine::with_table_parts(
+    let mut warm = CompactCountEngine::with_snapshot_rng(
         &counter,
         counted_config,
         UniformCountScheduler::new(),
-        7,
-        &loaded,
+        StdRng::seed_from_u64(7),
+        loaded.snapshot(),
     );
     warm.prime_states(states.iter().copied());
     let warm_prime_ns = start.elapsed().as_nanos() as f64;
-    let warm_prime_calls = counter.calls.get();
+    let warm_prime_calls = counter.calls();
     assert_eq!(warm.slots(), slots, "priming covers the whole store");
     assert_eq!(
         warm_prime_calls, 0,
@@ -154,16 +116,13 @@ fn bench_table_store(c: &mut Criterion) {
     // One cold discovery of the same state set, for the ratio. Median of
     // two samples.
     let cold_sample = || {
-        let counter = CallCounter {
-            inner: &protocol,
-            calls: Cell::new(0),
-        };
+        let counter = CallCounter::new(&protocol);
         let counted_config: CountConfig<CirclesState> =
             inputs.iter().map(|i| counter.input(i)).collect();
         let mut engine = CountEngine::from_config(&counter, counted_config, 7);
         let start = Instant::now();
         engine.prime_states(states.iter().copied());
-        (start.elapsed().as_nanos() as f64, counter.calls.get())
+        (start.elapsed().as_nanos() as f64, counter.calls())
     };
     let (a, b) = (cold_sample(), cold_sample());
     let (cold_discovery_ns, cold_calls) = if a.0 < b.0 { a } else { b };
@@ -202,12 +161,12 @@ fn bench_table_store(c: &mut Criterion) {
     cold.run_until_silent(u64::MAX / 2).unwrap();
     let disk_table: TransitionTable<CirclesProtocol> =
         transition_store::load(&protocol, &store_path).unwrap();
-    let mut warm = CompactCountEngine::with_table_parts(
+    let mut warm = CompactCountEngine::with_snapshot_rng(
         &protocol,
         config,
         UniformCountScheduler::new(),
-        11,
-        &disk_table,
+        StdRng::seed_from_u64(11),
+        disk_table.snapshot(),
     );
     warm.run_until_silent(u64::MAX / 2).unwrap();
     assert_eq!(

@@ -22,17 +22,16 @@
 //! two thread counts and diffs the two reports byte-for-byte — the
 //! executable form of "bench rows are thread-count-independent".
 //!
-//! Reported rows: `warm_sweep/cold_discovery_ns` (one cold discovery),
+//! Reported rows: `warm_sweep/cold_quotient_discovery_ns` (one cold
+//! discovery, through the color-quotient memo real Circles runs use),
 //! `warm_sweep/warm_materialize_ns` (one lazy warm materialization of the
 //! same slot set + export), `warm_sweep/discovery_call_ratio_x` (16 cold
 //! bills over the warm bill, in transition calls),
 //! `warm_sweep/discovery_time_ratio_x` (same in wall-clock),
 //! `warm_sweep/sweep_ns` (the end-to-end warm sweep),
-//! `warm_sweep/deep_snapshot_ns` / `warm_sweep/epoch_snapshot_ns` /
-//! `warm_sweep/snapshot_cost_ratio_x` (the deep-clone baseline vs the
-//! epoch-snapshot handle on the populated table, asserted ≥ 50×).
+//! `warm_sweep/epoch_snapshot_ns` (one epoch-snapshot capture on the
+//! populated table).
 
-use std::cell::Cell;
 use std::io::Write;
 use std::time::Instant;
 
@@ -42,9 +41,12 @@ use circles_core::{CirclesProtocol, CirclesState};
 use pp_analysis::table_cache::TableCache;
 use pp_analysis::trial::{Backend, TrialRunner};
 use pp_analysis::workloads::{margin_workload, true_winner};
+use pp_bench::CallCounter;
 use pp_protocol::{
     CompactCountEngine, CountConfig, CountEngine, Protocol, TransitionTable, UniformCountScheduler,
 };
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 // `k = 30` is the regime where discovery dominates; `n = 3000` keeps the
 // sixteen end-to-end runs CI-sized (the slot table is ~5×10³ here — the
@@ -52,39 +54,6 @@ use pp_protocol::{
 const K: u16 = 30;
 const N: usize = 3_000;
 const SEEDS: u64 = 16;
-
-/// Forwards to an inner protocol while counting transition calls.
-struct CallCounter<'a> {
-    inner: &'a CirclesProtocol,
-    calls: Cell<u64>,
-}
-
-impl Protocol for CallCounter<'_> {
-    type State = CirclesState;
-    type Input = circles_core::Color;
-    type Output = circles_core::Color;
-
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn input(&self, input: &Self::Input) -> Self::State {
-        self.inner.input(input)
-    }
-
-    fn output(&self, state: &Self::State) -> Self::Output {
-        self.inner.output(state)
-    }
-
-    fn transition(&self, a: &Self::State, b: &Self::State) -> (Self::State, Self::State) {
-        self.calls.set(self.calls.get() + 1);
-        self.inner.transition(a, b)
-    }
-
-    fn is_symmetric(&self) -> bool {
-        self.inner.is_symmetric()
-    }
-}
 
 fn bench_warm_sweep(c: &mut Criterion) {
     let protocol = CirclesProtocol::new(K).unwrap();
@@ -105,16 +74,13 @@ fn bench_warm_sweep(c: &mut Criterion) {
     // One cold discovery bill, in wall-clock and transition calls. Median
     // of two samples to absorb timer noise.
     let cold_sample = || {
-        let counter = CallCounter {
-            inner: &protocol,
-            calls: Cell::new(0),
-        };
+        let counter = CallCounter::new(&protocol);
         let counted_config: CountConfig<CirclesState> =
             inputs.iter().map(|i| counter.input(i)).collect();
         let mut engine = CountEngine::from_config(&counter, counted_config, 7);
         let start = Instant::now();
         engine.prime_states(states.iter().copied());
-        (start.elapsed().as_nanos() as f64, counter.calls.get())
+        (start.elapsed().as_nanos() as f64, counter.calls())
     };
     let (a, b) = (cold_sample(), cold_sample());
     let (cold_discovery_ns, cold_calls) = if a.0 < b.0 { a } else { b };
@@ -124,13 +90,10 @@ fn bench_warm_sweep(c: &mut Criterion) {
     // compact engine warm trials actually use. Median of three. The table
     // was discovered by the plain protocol, so the counter sees exactly
     // the calls the warm path still needs (structurally: none).
-    let counted_table: TransitionTable<CallCounter<'_>> = {
+    let counted_table: TransitionTable<CallCounter<'_, CirclesProtocol>> = {
         // The scout table rebuilt under the counting protocol's type: same
         // seed, same workload, so the discovered structure is identical.
-        let counter = CallCounter {
-            inner: &protocol,
-            calls: Cell::new(0),
-        };
+        let counter = CallCounter::new(&protocol);
         let counted_config: CountConfig<CirclesState> =
             inputs.iter().map(|i| counter.input(i)).collect();
         let mut engine = CountEngine::from_config(&counter, counted_config, 7);
@@ -138,19 +101,16 @@ fn bench_warm_sweep(c: &mut Criterion) {
         engine.warm_table()
     };
     let warm_sample = || {
-        let counter = CallCounter {
-            inner: &protocol,
-            calls: Cell::new(0),
-        };
+        let counter = CallCounter::new(&protocol);
         let counted_config: CountConfig<CirclesState> =
             inputs.iter().map(|i| counter.input(i)).collect();
         let start = Instant::now();
-        let mut engine = CompactCountEngine::with_table_parts(
+        let mut engine = CompactCountEngine::with_snapshot_rng(
             &counter,
             counted_config,
             UniformCountScheduler::new(),
-            7,
-            &counted_table,
+            StdRng::seed_from_u64(7),
+            counted_table.snapshot(),
         );
         engine.prime_states(states.iter().copied());
         assert_eq!(
@@ -159,7 +119,7 @@ fn bench_warm_sweep(c: &mut Criterion) {
             "lazy materialization must cover the scout's whole slot set"
         );
         engine.export_to(&counted_table);
-        (start.elapsed().as_nanos() as f64, counter.calls.get())
+        (start.elapsed().as_nanos() as f64, counter.calls())
     };
     let mut warm_samples = [warm_sample(), warm_sample(), warm_sample()];
     warm_samples.sort_by(|x, y| x.0.partial_cmp(&y.0).expect("finite times"));
@@ -176,8 +136,16 @@ fn bench_warm_sweep(c: &mut Criterion) {
     let time_bill_warm = cold_discovery_ns + warm_materialize_ns * (SEEDS - 1) as f64;
     let time_ratio = time_bill_cold / time_bill_warm;
     criterion::report_external("warm_sweep/slots", slots as f64, 1);
-    criterion::report_external("warm_sweep/cold_discovery_ns", cold_discovery_ns, 2);
-    criterion::report_external("warm_sweep/cold_discovery_calls", cold_calls as f64, 1);
+    criterion::report_external(
+        "warm_sweep/cold_quotient_discovery_ns",
+        cold_discovery_ns,
+        2,
+    );
+    criterion::report_external(
+        "warm_sweep/cold_quotient_discovery_calls",
+        cold_calls as f64,
+        1,
+    );
     criterion::report_external("warm_sweep/warm_materialize_ns", warm_materialize_ns, 3);
     criterion::report_external("warm_sweep/warm_materialize_calls", warm_calls as f64, 1);
     criterion::report_external("warm_sweep/discovery_call_ratio_x", call_ratio, 1);
@@ -239,23 +207,9 @@ fn bench_warm_sweep(c: &mut Criterion) {
         table.outcome_count(),
     );
 
-    // Snapshot-cost gate: an epoch snapshot is an Arc bump plus a segment
-    // watermark, so against the deep-clone baseline (what every warm trial
-    // paid per capture before epoch snapshots) it must be >= 50x cheaper on
-    // this populated k = 30 table. Deep clones are sampled thrice (median);
-    // the cheap handle is amortized over a loop since a single capture sits
-    // at timer resolution.
-    let deep_snapshot_ns = {
-        let mut samples = [0f64; 3];
-        for s in &mut samples {
-            let start = Instant::now();
-            let deep = table.snapshot_deep();
-            *s = start.elapsed().as_nanos() as f64;
-            assert_eq!(deep.len(), table.len(), "deep clone covers the table");
-        }
-        samples.sort_by(|x, y| x.partial_cmp(y).expect("finite times"));
-        samples[1]
-    };
+    // The per-trial cost of a warm start's table view: an epoch snapshot is
+    // an Arc bump plus a segment watermark, amortized over a loop since a
+    // single capture sits at timer resolution.
     let epoch_snapshot_ns = {
         const CAPTURES: u32 = 4096;
         let start = Instant::now();
@@ -264,21 +218,8 @@ fn bench_warm_sweep(c: &mut Criterion) {
         }
         start.elapsed().as_nanos() as f64 / f64::from(CAPTURES)
     };
-    let snapshot_ratio = deep_snapshot_ns / epoch_snapshot_ns.max(1.0);
-    criterion::report_external("warm_sweep/deep_snapshot_ns", deep_snapshot_ns, 3);
     criterion::report_external("warm_sweep/epoch_snapshot_ns", epoch_snapshot_ns, 1);
-    criterion::report_external("warm_sweep/snapshot_cost_ratio_x", snapshot_ratio, 1);
-    println!(
-        "warm_sweep: deep snapshot {:.1}us vs epoch snapshot {:.0}ns per capture \
-         => {snapshot_ratio:.0}x cheaper",
-        deep_snapshot_ns / 1e3,
-        epoch_snapshot_ns,
-    );
-    assert!(
-        snapshot_ratio >= 50.0,
-        "an epoch snapshot of a populated k = 30 table must be >= 50x cheaper \
-         than the deep-clone baseline, got {snapshot_ratio:.1}x"
-    );
+    println!("warm_sweep: epoch snapshot {epoch_snapshot_ns:.0}ns per capture");
 
     // Timing-free trial report for the CI determinism diff: identical
     // bytes at every thread count, or the sweep is not reproducible.

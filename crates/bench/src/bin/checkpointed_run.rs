@@ -291,12 +291,12 @@ fn main() {
             let mut hazard_rng = Philox4x32::stream(0, opts.seed | 1 << 63);
             match &table {
                 Some(table) => {
-                    let mut engine = CompactCountEngine::<_, _, Philox4x32>::with_table_rng(
+                    let mut engine = CompactCountEngine::<_, _, Philox4x32>::with_snapshot_rng(
                         &protocol,
                         config_from(&counts),
                         UniformCountScheduler::new(),
                         trial_rng,
-                        table,
+                        table.snapshot(),
                     );
                     drive(&mut engine, progress, &counts, &mut hazard_rng, &opts)
                 }

@@ -54,6 +54,8 @@ use pp_protocol::{
     CompactCountEngine, CountConfig, CountEngine, Protocol, TableSnapshot, TransitionTable,
     UniformCountScheduler,
 };
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 const K_COLD: u16 = 6;
 const N_AGENTS: usize = 240;
@@ -286,12 +288,12 @@ fn warm_phase(threads: usize, registry: &PhaseRegistry) {
                     .map(|c| circles_core::Color((c.0 + t as u16) % 30))
                     .collect();
                 let config: CountConfig<_> = inputs.iter().map(|i| protocol.input(i)).collect();
-                let mut engine = CompactCountEngine::with_table_parts(
+                let mut engine = CompactCountEngine::with_snapshot_rng(
                     protocol,
                     config,
                     UniformCountScheduler::new(),
-                    t as u64 + 1,
-                    table,
+                    StdRng::seed_from_u64(t as u64 + 1),
+                    table.snapshot(),
                 );
                 let _ = engine.run_until_silent(BUDGET);
                 engine.export_to(table);

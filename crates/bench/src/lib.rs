@@ -9,10 +9,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::cell::Cell;
 use std::path::Path;
 
 use pp_analysis::plot::LinePlot;
 use pp_analysis::Table;
+use pp_protocol::{Protocol, StateQuotient};
 
 /// Whether the CI-scale preset was requested: `--quick` on the command line
 /// or `PP_EXP_QUICK` set to anything but `0` in the environment. The env
@@ -50,6 +52,73 @@ where
 pub fn env_override_fail(name: &str, value: &str, reason: impl std::fmt::Display) -> ! {
     eprintln!("error: invalid environment override {name}={value}: {reason}");
     std::process::exit(2);
+}
+
+/// A [`Protocol`] that forwards to `inner` while counting transition calls —
+/// how the benches state a discovery path's bill in protocol calls. Every
+/// identity method (`name`, `is_symmetric`, `color_quotient`,
+/// `fingerprint_param`) is forwarded too: dropping one would send discovery
+/// down another path than the wrapped protocol takes, and store and
+/// checkpoint identity checks would reject the wrapper.
+pub struct CallCounter<'a, P> {
+    inner: &'a P,
+    calls: Cell<u64>,
+}
+
+impl<'a, P> CallCounter<'a, P> {
+    /// Wraps `inner` with a zeroed counter.
+    pub fn new(inner: &'a P) -> Self {
+        CallCounter {
+            inner,
+            calls: Cell::new(0),
+        }
+    }
+
+    /// Transition calls made since construction or the last
+    /// [`reset`](Self::reset).
+    pub fn calls(&self) -> u64 {
+        self.calls.get()
+    }
+
+    /// Zeroes the counter.
+    pub fn reset(&self) {
+        self.calls.set(0);
+    }
+}
+
+impl<P: Protocol> Protocol for CallCounter<'_, P> {
+    type State = P::State;
+    type Input = P::Input;
+    type Output = P::Output;
+
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn input(&self, input: &P::Input) -> P::State {
+        self.inner.input(input)
+    }
+
+    fn output(&self, state: &P::State) -> P::Output {
+        self.inner.output(state)
+    }
+
+    fn transition(&self, a: &P::State, b: &P::State) -> (P::State, P::State) {
+        self.calls.set(self.calls.get() + 1);
+        self.inner.transition(a, b)
+    }
+
+    fn is_symmetric(&self) -> bool {
+        self.inner.is_symmetric()
+    }
+
+    fn color_quotient(&self) -> Option<&dyn StateQuotient<P::State>> {
+        self.inner.color_quotient()
+    }
+
+    fn fingerprint_param(&self) -> u64 {
+        self.inner.fingerprint_param()
+    }
 }
 
 /// Prints the table and writes `results/<basename>.{md,csv}` relative to

@@ -7,9 +7,8 @@ use pp_extensions::hazards::{run_with_hazards, Hazard, HazardKind, HazardPlan};
 use pp_extensions::ordering::{OrderingProtocol, OrderingState, Role};
 use pp_extensions::unordered::{UnorderedCircles, UnorderedPhase};
 use pp_protocol::{
-    Activity, CompactActivity, CountConfig, CountEngine, DenseActivity, Population, Protocol,
-    RunReport, Simulation, SparseActivity, TransitionTable, UniformCountScheduler,
-    UniformPairScheduler,
+    Activity, CompactActivity, CountConfig, CountEngine, Population, Protocol, RunReport,
+    Simulation, SparseActivity, TransitionTable, UniformCountScheduler, UniformPairScheduler,
 };
 use proptest::prelude::*;
 use rand::rngs::Philox4x32;
@@ -26,9 +25,13 @@ fn hazard_free_report<A: Activity>(
     let scheduler = UniformCountScheduler::new();
     let rng = Philox4x32::stream(0, seed);
     let mut engine = match table {
-        Some(table) => {
-            CountEngine::<_, _, A, _>::with_table_rng(protocol, config, scheduler, rng, table)
-        }
+        Some(table) => CountEngine::<_, _, A, _>::with_snapshot_rng(
+            protocol,
+            config,
+            scheduler,
+            rng,
+            table.snapshot(),
+        ),
         None => CountEngine::<_, _, A, _>::with_rng(protocol, config, scheduler, rng),
     };
     let mut hazard_rng = Philox4x32::stream(0, seed | 1 << 63);
@@ -187,7 +190,7 @@ proptest! {
 
     /// Hazards: a hazard-free plan produces `RunReport`s byte-identical to
     /// the plain engine run of the same seed, across
-    /// {flat, compact, dense} × {cold, warm}.
+    /// {flat, compact} × {cold, warm}.
     #[test]
     fn hazard_free_plans_are_invisible_across_engines(
         raw in proptest::collection::vec(0u16..3, 2..40),
@@ -210,18 +213,13 @@ proptest! {
         plain.export_to(&table);
         let flat_cold = hazard_free_report::<SparseActivity>(&protocol, &inputs, seed, None);
         let compact_cold = hazard_free_report::<CompactActivity>(&protocol, &inputs, seed, None);
-        let dense_cold = hazard_free_report::<DenseActivity>(&protocol, &inputs, seed, None);
         let flat_warm =
             hazard_free_report::<SparseActivity>(&protocol, &inputs, seed, Some(&table));
         let compact_warm =
             hazard_free_report::<CompactActivity>(&protocol, &inputs, seed, Some(&table));
-        let dense_warm =
-            hazard_free_report::<DenseActivity>(&protocol, &inputs, seed, Some(&table));
         prop_assert_eq!(&flat_cold, &reference);
         prop_assert_eq!(&compact_cold, &reference);
-        prop_assert_eq!(&dense_cold, &reference);
         prop_assert_eq!(&flat_warm, &reference);
         prop_assert_eq!(&compact_warm, &reference);
-        prop_assert_eq!(&dense_warm, &reference);
     }
 }

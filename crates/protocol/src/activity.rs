@@ -4,7 +4,7 @@
 //! weight of *active* (state-changing) ordered slot pairs — `mass` — plus
 //! enough structure to draw one active pair with probability proportional to
 //! its weight `c_i · (c_j − [i = j])`. This module isolates that bookkeeping
-//! behind the [`Activity`] trait with three implementations:
+//! behind the [`Activity`] trait with two implementations:
 //!
 //! - [`SparseActivity`] (the default): per-slot adjacency lists of active
 //!   out-/in-neighbors stored as plain sorted `u32` vectors ([`VecAdj`]),
@@ -21,12 +21,10 @@
 //!   the bytes per active pair by well over 4× versus [`VecAdj`]'s flat
 //!   8 bytes, which is what keeps full-discovery runs feasible toward
 //!   `k = 40` Circles.
-//! - [`DenseActivity`]: the original engine's bookkeeping — a dense
-//!   `slots × slots` pair matrix scanned per count change, a full
-//!   `row_mass` refresh per change-point and linear-scan sampling. Kept as
-//!   the reference baseline: replaying the same schedule through all three
-//!   indexes must produce bit-identical runs, and the `backend` bench
-//!   measures the per-change-point gap.
+//!
+//! Both iterate rows in ascending slot order, so replaying one schedule
+//! through either index produces bit-identical runs; the unit tests check
+//! every draw against a brute-force walk over all ordered slot pairs.
 //!
 //! Discovery itself is also bookkeeping the trait can halve: for symmetric
 //! protocols [`Activity::add_slot_symmetric`] derives each mirrored ordered
@@ -701,9 +699,8 @@ impl AdjStore for CompactAdj {
 
 /// Slot count below which conditional sampling scans `row_mass` linearly
 /// instead of maintaining the Fenwick tree — at a handful of slots the
-/// sequential scan is faster than tree upkeep, and keeping the small-k
-/// path lean is what lets the sparse index replace the dense one
-/// everywhere.
+/// sequential scan is faster than tree upkeep, which keeps the small-k
+/// path lean.
 const FENWICK_MIN_SLOTS: usize = 64;
 
 /// Adjacency-list activity index generic over its row storage — see the
@@ -968,194 +965,54 @@ impl<R: AdjStore> Activity for AdjActivity<R> {
     }
 }
 
-/// Dense pair-matrix activity index — the original engine's bookkeeping,
-/// kept as the comparison baseline; see the [module docs](self).
-#[derive(Debug)]
-pub struct DenseActivity {
-    /// `null[i * stride + j]`: the ordered pair `(i, j)` leaves both states
-    /// unchanged. Row stride grows by doubling so slot ids stay stable.
-    null: Vec<bool>,
-    stride: usize,
-    slots: usize,
-    col_in: Vec<u64>,
-    row_mass: Vec<u128>,
-    mass: u128,
-    pairs: usize,
-}
-
-impl Default for DenseActivity {
-    fn default() -> Self {
-        DenseActivity {
-            null: vec![true; 16],
-            stride: 4,
-            slots: 0,
-            col_in: Vec::new(),
-            row_mass: Vec::new(),
-            mass: 0,
-            pairs: 0,
-        }
-    }
-}
-
-impl DenseActivity {
-    /// Doubles the pair-matrix stride, remapping existing entries.
-    fn grow(&mut self) {
-        let old = self.stride;
-        let stride = old * 2;
-        let mut null = vec![true; stride * stride];
-        for i in 0..self.slots {
-            null[i * stride..i * stride + self.slots]
-                .copy_from_slice(&self.null[i * old..i * old + self.slots]);
-        }
-        self.stride = stride;
-        self.null = null;
-    }
-}
-
-impl PairSampling for DenseActivity {
-    fn is_active(&self, i: usize, j: usize) -> bool {
-        !self.null[i * self.stride + j]
-    }
-
-    fn sample_change(&self, r: u128, counts: &[u64]) -> (usize, usize) {
-        let mut r = r;
-        for (i, &row) in self.row_mass.iter().enumerate() {
-            if r >= row {
-                r -= row;
-                continue;
-            }
-            let ci = u128::from(counts[i]);
-            for (j, &cj) in counts.iter().enumerate().take(self.slots) {
-                if self.null[i * self.stride + j] {
-                    continue;
-                }
-                let w = ci * u128::from(cj.saturating_sub(u64::from(i == j)));
-                if r < w {
-                    return (i, j);
-                }
-                r -= w;
-            }
-            unreachable!("row mass out of sync with pair weights");
-        }
-        unreachable!("total mass out of sync with row masses");
-    }
-}
-
-impl Activity for DenseActivity {
-    fn add_slot(&mut self, counts: &[u64], mut active: impl FnMut(usize, usize) -> bool) {
-        let id = self.slots;
-        debug_assert_eq!(counts.len(), id + 1, "counts not extended for new slot");
-        if id >= self.stride {
-            self.grow();
-        }
-        self.slots += 1;
-        self.col_in.push(0);
-        self.row_mass.push(0);
-        for j in 0..=id {
-            let out_active = active(id, j);
-            self.null[id * self.stride + j] = !out_active;
-            self.pairs += usize::from(out_active);
-            if j < id {
-                let in_active = active(j, id);
-                self.null[j * self.stride + id] = !in_active;
-                self.pairs += usize::from(in_active);
-            }
-        }
-        self.col_in[id] = (0..=id)
-            .filter(|&j| !self.null[id * self.stride + j])
-            .map(|j| counts[j])
-            .sum();
-    }
-
-    fn add_slot_from_lists(&mut self, counts: &[u64], out: &[u32], ins: &[u32], diag: bool) {
-        let id = self.slots;
-        debug_assert_eq!(counts.len(), id + 1, "counts not extended for new slot");
-        if id >= self.stride {
-            self.grow();
-        }
-        self.slots += 1;
-        self.col_in.push(0);
-        self.row_mass.push(0);
-        for &j in out {
-            self.null[id * self.stride + j as usize] = false;
-            self.pairs += 1;
-        }
-        for &i in ins {
-            self.null[(i as usize) * self.stride + id] = false;
-            self.pairs += 1;
-        }
-        if diag {
-            self.null[id * self.stride + id] = false;
-            self.pairs += 1;
-        }
-        self.col_in[id] = out.iter().map(|&j| counts[j as usize]).sum();
-    }
-
-    fn count_changed(&mut self, slot: usize, delta: i64) {
-        // Every slot with an active pair into column `slot` absorbs the
-        // count change linearly — the dense O(slots) scan.
-        for r in 0..self.slots {
-            if !self.null[r * self.stride + slot] {
-                self.col_in[r] = self.col_in[r]
-                    .checked_add_signed(delta)
-                    .expect("col_in underflow");
-            }
-        }
-    }
-
-    fn settle(&mut self, counts: &[u64]) {
-        // Full refresh, once per change-point — the dense O(slots) rescan.
-        let mut mass = 0u128;
-        for (r, &c) in counts.iter().enumerate().take(self.slots) {
-            let m = row_mass_of(c, self.col_in[r], !self.null[r * self.stride + r]);
-            self.row_mass[r] = m;
-            mass += m;
-        }
-        self.mass = mass;
-    }
-
-    fn mass(&self) -> u128 {
-        self.mass
-    }
-
-    fn row_mass(&self) -> &[u128] {
-        &self.row_mass
-    }
-
-    fn walk_out(&self, i: usize, f: &mut dyn FnMut(usize)) {
-        for j in 0..self.slots {
-            if !self.null[i * self.stride + j] {
-                f(j);
-            }
-        }
-    }
-
-    fn walk_in(&self, j: usize, f: &mut dyn FnMut(usize)) {
-        for i in 0..self.slots {
-            if !self.null[i * self.stride + j] {
-                f(i);
-            }
-        }
-    }
-
-    fn active_pairs(&self) -> usize {
-        self.pairs
-    }
-
-    fn adjacency_bytes(&self) -> usize {
-        // One byte per matrix cell, active or not — the dense cost model.
-        self.null.capacity()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
-    /// Drives all indexes through an identical random schedule and checks
-    /// them against a brute-force reference at every step.
+    /// Total weight of active ordered pairs, by brute force.
+    fn bruteforce_mass(active: impl Fn(usize, usize) -> bool, counts: &[u64]) -> u128 {
+        let mut mass = 0u128;
+        for i in 0..counts.len() {
+            for j in 0..counts.len() {
+                if active(i, j) {
+                    mass += u128::from(counts[i])
+                        * u128::from(counts[j].saturating_sub(u64::from(i == j)));
+                }
+            }
+        }
+        mass
+    }
+
+    /// The sampling law every index must reproduce, by brute force: walk
+    /// the ordered pairs `(i, j)` by initiator, then responder, each active
+    /// pair spanning `c_i · (c_j − [i = j])` units, and return the pair the
+    /// `r`-th unit lands on.
+    fn bruteforce_sample(
+        active: impl Fn(usize, usize) -> bool,
+        counts: &[u64],
+        r: u128,
+    ) -> (usize, usize) {
+        let mut rem = r;
+        for i in 0..counts.len() {
+            for j in 0..counts.len() {
+                if !active(i, j) {
+                    continue;
+                }
+                let w =
+                    u128::from(counts[i]) * u128::from(counts[j].saturating_sub(u64::from(i == j)));
+                if rem < w {
+                    return (i, j);
+                }
+                rem -= w;
+            }
+        }
+        panic!("r = {r} lies past the total mass");
+    }
+
+    /// Drives both indexes through an identical random schedule and checks
+    /// them against the brute-force reference at every step.
     #[test]
     fn all_indexes_agree_with_bruteforce() {
         // Activity rule: (i, j) is active iff (i * 7 + j * 3) % 4 == 0,
@@ -1164,7 +1021,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let mut sparse = SparseActivity::default();
         let mut compact = CompactActivity::default();
-        let mut dense = DenseActivity::default();
         let mut counts: Vec<u64> = Vec::new();
 
         for round in 0..200 {
@@ -1172,7 +1028,6 @@ mod tests {
                 counts.push(0);
                 sparse.add_slot(&counts, active);
                 compact.add_slot(&counts, active);
-                dense.add_slot(&counts, active);
             }
             let slot = rng.random_range(0..counts.len());
             let delta: i64 = if counts[slot] == 0 {
@@ -1183,10 +1038,8 @@ mod tests {
             counts[slot] = counts[slot].checked_add_signed(delta).unwrap();
             sparse.count_changed(slot, delta);
             compact.count_changed(slot, delta);
-            dense.count_changed(slot, delta);
             sparse.settle(&counts);
             compact.settle(&counts);
-            dense.settle(&counts);
 
             let mut expected = 0u128;
             for i in 0..counts.len() {
@@ -1199,67 +1052,96 @@ mod tests {
                 }
                 assert_eq!(sparse.row_mass()[i], row, "sparse row {i} round {round}");
                 assert_eq!(compact.row_mass()[i], row, "compact row {i} round {round}");
-                assert_eq!(dense.row_mass()[i], row, "dense row {i} round {round}");
                 expected += row;
             }
             assert_eq!(sparse.mass(), expected, "sparse mass round {round}");
             assert_eq!(compact.mass(), expected, "compact mass round {round}");
-            assert_eq!(dense.mass(), expected, "dense mass round {round}");
 
-            // Sampling must agree between the indexes for every r.
             if expected > 0 {
                 for _ in 0..8 {
                     let r = rng.random_range(0..expected);
-                    let drawn = sparse.sample_change(r, &counts);
-                    assert_eq!(drawn, compact.sample_change(r, &counts), "r = {r}");
-                    assert_eq!(drawn, dense.sample_change(r, &counts), "r = {r}");
+                    let drawn = bruteforce_sample(active, &counts, r);
+                    assert_eq!(sparse.sample_change(r, &counts), drawn, "r = {r}");
+                    assert_eq!(compact.sample_change(r, &counts), drawn, "r = {r}");
                 }
             }
             for i in 0..counts.len() {
                 for j in 0..counts.len() {
                     assert_eq!(sparse.is_active(i, j), active(i, j));
                     assert_eq!(compact.is_active(i, j), active(i, j));
-                    assert_eq!(dense.is_active(i, j), active(i, j));
                 }
             }
         }
         assert_eq!(sparse.active_pairs(), compact.active_pairs());
-        assert_eq!(sparse.active_pairs(), dense.active_pairs());
     }
 
-    /// Crossing [`FENWICK_MIN_SLOTS`] mid-run must hand over from the
-    /// linear sampler to the tree without changing a single draw.
+    /// Past [`FENWICK_MIN_SLOTS`] draws go through the Fenwick tree, which
+    /// `settle` maintains two ways: point updates while few rows are dirty,
+    /// one full rebuild once `dirty · log₂ slots ≥ slots`. Growing from zero
+    /// to twice the threshold, every draw — linear scan, point-updated tree
+    /// and rebuilt tree alike — must land on the pair the brute-force walk
+    /// picks.
     #[test]
-    fn fenwick_threshold_crossing_preserves_sampling() {
-        let active = |i: usize, j: usize| (i + 2 * j).is_multiple_of(3);
+    fn sampling_matches_bruteforce_across_fenwick_settle_modes() {
+        // In-degree ≈ slots / 17: a single count change dirties a handful
+        // of rows (point updates), a batch of changes dirties most of them
+        // (rebuild).
+        let active = |i: usize, j: usize| (i + 3 * j).is_multiple_of(17);
+        let target = 2 * FENWICK_MIN_SLOTS + 8;
         let mut rng = StdRng::seed_from_u64(21);
         let mut sparse = SparseActivity::default();
-        let mut dense = DenseActivity::default();
+        let mut compact = CompactActivity::default();
         let mut counts: Vec<u64> = Vec::new();
-        while counts.len() < FENWICK_MIN_SLOTS + 20 {
-            counts.push(0);
-            sparse.add_slot(&counts, active);
-            dense.add_slot(&counts, active);
-            let slot = rng.random_range(0..counts.len());
-            counts[slot] += 2;
-            sparse.count_changed(slot, 2);
-            dense.count_changed(slot, 2);
+        let (mut point_settles, mut rebuild_settles) = (0u32, 0u32);
+        for round in 0..600 {
+            if counts.len() < target && round % 2 == 0 {
+                counts.push(0);
+                sparse.add_slot(&counts, active);
+                compact.add_slot(&counts, active);
+            }
+            let batch = if round % 4 == 3 { counts.len() / 4 } else { 1 };
+            for _ in 0..batch {
+                let slot = rng.random_range(0..counts.len());
+                let delta: i64 = if counts[slot] == 0 {
+                    2
+                } else {
+                    [-1i64, 1, 3][rng.random_range(0..3usize)]
+                };
+                counts[slot] = counts[slot].checked_add_signed(delta).unwrap();
+                sparse.count_changed(slot, delta);
+                compact.count_changed(slot, delta);
+            }
+            if sparse.use_fenwick {
+                let log2 = (usize::BITS - counts.len().leading_zeros()) as usize;
+                if sparse.dirty.len() * log2 >= counts.len() {
+                    rebuild_settles += 1;
+                } else {
+                    point_settles += 1;
+                }
+            }
             sparse.settle(&counts);
-            dense.settle(&counts);
-            assert_eq!(sparse.mass(), dense.mass(), "at {} slots", counts.len());
-            if sparse.mass() > 0 {
-                for _ in 0..4 {
-                    let r = rng.random_range(0..sparse.mass());
-                    assert_eq!(
-                        sparse.sample_change(r, &counts),
-                        dense.sample_change(r, &counts),
-                        "r = {r} at {} slots",
-                        counts.len()
-                    );
+            compact.settle(&counts);
+
+            let mass = bruteforce_mass(active, &counts);
+            let slots = counts.len();
+            assert_eq!(sparse.mass(), mass, "sparse mass at {slots} slots");
+            assert_eq!(compact.mass(), mass, "compact mass at {slots} slots");
+            if mass > 0 {
+                let draws = [0, mass - 1]
+                    .into_iter()
+                    .chain((0..4).map(|_| rng.random_range(0..mass)));
+                for r in draws {
+                    let expected = bruteforce_sample(active, &counts, r);
+                    assert_eq!(sparse.sample_change(r, &counts), expected, "r = {r}");
+                    assert_eq!(compact.sample_change(r, &counts), expected, "r = {r}");
                 }
             }
         }
-        assert!(counts.len() > FENWICK_MIN_SLOTS, "threshold was crossed");
+        assert_eq!(counts.len(), target, "grew to twice the threshold");
+        assert!(
+            point_settles > 0 && rebuild_settles > 0,
+            "both settle modes exercised: {point_settles} point, {rebuild_settles} rebuild"
+        );
     }
 
     #[test]
@@ -1380,7 +1262,6 @@ mod tests {
         }
         let mut loaded_sparse = SparseActivity::default();
         let mut loaded_compact = CompactActivity::default();
-        let mut loaded_dense = DenseActivity::default();
         counts.clear();
         for id in 0..slots {
             counts.push(0);
@@ -1395,7 +1276,6 @@ mod tests {
             let diag = active(id, id);
             loaded_sparse.add_slot_from_lists(&counts, &out, &ins, diag);
             loaded_compact.add_slot_from_lists(&counts, &out, &ins, diag);
-            loaded_dense.add_slot_from_lists(&counts, &out, &ins, diag);
         }
 
         let mut rng = StdRng::seed_from_u64(41);
@@ -1415,10 +1295,6 @@ mod tests {
                 }
                 {
                     let $name = &mut loaded_compact;
-                    $body;
-                }
-                {
-                    let $name = &mut loaded_dense;
                     $body;
                 }
             }};

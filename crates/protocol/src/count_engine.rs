@@ -18,8 +18,7 @@
 //! they carry and how a conditional change-pair is drawn is delegated to an
 //! [`Activity`] index — [`SparseActivity`] by default (per-slot adjacency
 //! lists, dirty-row settlement, Fenwick-tree sampling: `O(deg + log slots)`
-//! per change-point), with [`DenseActivity`] (the previous dense pair-matrix
-//! bookkeeping, `O(slots)` scans) kept as the reference baseline; see
+//! per change-point), or [`CompactActivity`] for large slot tables; see
 //! [`activity`](crate::activity) for the cost model. All pair-weight
 //! arithmetic is `u128`, so populations up to `2^63 − 1` agents are
 //! supported — far past the former `u32::MAX` cap.
@@ -33,7 +32,7 @@ use crate::hashing::FxBuildHasher;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
-use crate::activity::{Activity, AdjRows, CompactActivity, DenseActivity, SparseActivity};
+use crate::activity::{Activity, AdjRows, CompactActivity, SparseActivity};
 use crate::config::CountConfig;
 use crate::count_trace::CountTrace;
 use crate::error::FrameworkError;
@@ -156,12 +155,6 @@ impl<S> WarmState<S> {
     }
 }
 
-/// The count engine over the [`DenseActivity`] baseline index — the previous
-/// engine's `O(slots)`-per-change-point bookkeeping, kept for equivalence
-/// tests and the `backend` benchmark's sparse-vs-dense comparison.
-pub type DenseCountEngine<'p, P, CS = UniformCountScheduler, R = StdRng> =
-    CountEngine<'p, P, CS, DenseActivity, R>;
-
 /// The count engine over the [`CompactActivity`] index — compressed
 /// adjacency rows for slot tables too large for the flat 8-bytes-per-pair
 /// layout (full-discovery Circles toward `k = 40`).
@@ -207,101 +200,11 @@ impl<'p, P: Protocol> CountEngine<'p, P, UniformCountScheduler, SparseActivity> 
     ///
     /// Panics when the configuration holds more than `2^63 − 1` agents.
     pub fn from_config(protocol: &'p P, config: CountConfig<P::State>, seed: u64) -> Self {
-        Self::with_scheduler(protocol, config, UniformCountScheduler::new(), seed)
-    }
-}
-
-impl<'p, P, CS> CountEngine<'p, P, CS, SparseActivity>
-where
-    P: Protocol,
-    CS: CountScheduler<P::State>,
-{
-    /// Creates an engine over `config`, driven by `scheduler` and the RNG
-    /// seeded with `seed`, on the default sparse activity index.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the configuration holds more than `2^63 − 1` agents.
-    pub fn with_scheduler(
-        protocol: &'p P,
-        config: CountConfig<P::State>,
-        scheduler: CS,
-        seed: u64,
-    ) -> Self {
-        Self::with_parts(protocol, config, scheduler, seed)
-    }
-
-    /// Creates a warm-started engine on the default sparse activity index —
-    /// see [`with_table_parts`](Self::with_table_parts) for the semantics
-    /// (and for selecting another activity index).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the configuration holds more than `2^63 − 1` agents.
-    pub fn with_table(
-        protocol: &'p P,
-        config: CountConfig<P::State>,
-        scheduler: CS,
-        seed: u64,
-        table: &TransitionTable<P>,
-    ) -> Self {
-        Self::with_table_parts(protocol, config, scheduler, seed, table)
-    }
-}
-
-impl<'p, P, CS, A> CountEngine<'p, P, CS, A>
-where
-    P: Protocol,
-    CS: CountScheduler<P::State>,
-    A: Activity,
-{
-    /// Creates an engine over `config` with an explicit activity index —
-    /// `CountEngine::<_, _, DenseActivity>::with_parts(..)` selects the
-    /// dense baseline (or use the [`DenseCountEngine`] alias).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the configuration holds more than `2^63 − 1` agents —
-    /// pair weights (`≤ n(n−1)`) and their signed deltas must fit `u128`.
-    pub fn with_parts(
-        protocol: &'p P,
-        config: CountConfig<P::State>,
-        scheduler: CS,
-        seed: u64,
-    ) -> Self {
-        Self::with_rng(protocol, config, scheduler, StdRng::seed_from_u64(seed))
-    }
-
-    /// Like [`with_parts`](Self::with_parts), but warm-started from `table`,
-    /// used as a *lookup oracle*: states the table knows materialize their
-    /// activity rows and transition outcomes from a snapshot of it — zero
-    /// protocol calls — while unknown states pay ordinary per-pair
-    /// discovery.
-    ///
-    /// **Canonical slot order.** The table never influences slot numbering:
-    /// slots are created exactly when (and in the order that) a cold run of
-    /// the same seed would create them, and lookups return exactly what the
-    /// protocol would. A warm run is therefore **bit-identical** to the
-    /// cold run of the same seed — same trajectory, same `RunReport`, same
-    /// RNG stream — regardless of the table's id order, how many states it
-    /// holds, or which other engines are exporting into it concurrently.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the configuration holds more than `2^63 − 1` agents.
-    pub fn with_table_parts(
-        protocol: &'p P,
-        config: CountConfig<P::State>,
-        scheduler: CS,
-        seed: u64,
-        table: &TransitionTable<P>,
-    ) -> Self {
-        Self::with_table_rng(
+        Self::with_rng(
             protocol,
             config,
-            scheduler,
+            UniformCountScheduler::new(),
             StdRng::seed_from_u64(seed),
-            table,
         )
     }
 }
@@ -313,44 +216,40 @@ where
     A: Activity,
     R: RngCore,
 {
-    /// Like [`with_parts`](Self::with_parts) with an explicitly constructed
-    /// generator — the entry point for counter-based trial streams
+    /// Creates a cold engine over `config`, driven by `scheduler` and
+    /// `rng` — `StdRng::seed_from_u64(seed)` for a plain seed, or a
+    /// counter-based trial stream
     /// ([`Philox4x32::stream`](rand::rngs::Philox4x32::stream)) whose
-    /// identity is richer than one `u64`.
+    /// identity is richer than one `u64`. The activity index is the type
+    /// parameter `A`: [`SparseActivity`] by default, [`CompactActivity`]
+    /// through [`CompactCountEngine`].
     ///
     /// # Panics
     ///
-    /// Panics when the configuration holds more than `2^63 − 1` agents.
+    /// Panics when the configuration holds more than `2^63 − 1` agents —
+    /// pair weights (`≤ n(n−1)`) and their signed deltas must fit `u128`.
     pub fn with_rng(protocol: &'p P, config: CountConfig<P::State>, scheduler: CS, rng: R) -> Self {
         let mut engine = Self::empty(protocol, scheduler, rng, config.distinct());
         engine.seed_config(config);
         engine
     }
 
-    /// [`with_table_parts`](Self::with_table_parts) with an explicitly
-    /// constructed generator; see there for the canonical-order contract.
+    /// Like [`with_rng`](Self::with_rng), but warm-started from `snapshot`
+    /// — a [`TransitionTable::snapshot`] handle, used as a *lookup oracle*:
+    /// states the snapshot knows materialize their activity rows and
+    /// transition outcomes from it with zero protocol calls, while unknown
+    /// states pay ordinary per-pair discovery. Construction is an `Arc`
+    /// refcount bump, so a sweep captures one snapshot per epoch and shares
+    /// it across every trial of the epoch.
     ///
-    /// # Panics
-    ///
-    /// Panics when the configuration holds more than `2^63 − 1` agents.
-    pub fn with_table_rng(
-        protocol: &'p P,
-        config: CountConfig<P::State>,
-        scheduler: CS,
-        rng: R,
-        table: &TransitionTable<P>,
-    ) -> Self {
-        Self::with_snapshot_rng(protocol, config, scheduler, rng, table.snapshot())
-    }
-
-    /// Like [`with_table_rng`](Self::with_table_rng), but against an
-    /// already-captured [`TableSnapshot`] handle: construction is an `Arc`
-    /// refcount bump, so a sweep captures one snapshot per epoch
-    /// ([`TransitionTable::snapshot`]) and shares it across every trial of
-    /// the epoch. The canonical-order contract of
-    /// [`with_table_parts`](Self::with_table_parts) holds unchanged —
-    /// snapshots are lookup oracles, so which epoch's snapshot a trial got
-    /// never affects its trajectory.
+    /// **Canonical slot order.** The snapshot never influences slot
+    /// numbering: slots are created exactly when (and in the order that) a
+    /// cold run of the same generator would create them, and lookups return
+    /// exactly what the protocol would. A warm run is therefore
+    /// **bit-identical** to the cold run — same trajectory, same
+    /// `RunReport`, same RNG stream — regardless of the table's id order,
+    /// how many states it holds, which epoch's snapshot a trial got, or
+    /// which other engines are exporting into the table concurrently.
     ///
     /// # Panics
     ///
@@ -1121,7 +1020,7 @@ where
 
     /// Publishes this engine's discovered structure — novel states, pair
     /// activity, applied transition outcomes — into `table`, so later
-    /// engines can [warm-start](Self::with_table_parts) from it.
+    /// engines can [warm-start](Self::with_snapshot_rng) from it.
     ///
     /// Publication is lock-free: the engine captures the table's current
     /// tip, builds one immutable segment extending it (novel states in
@@ -1533,11 +1432,15 @@ mod tests {
     }
 
     #[test]
-    fn dense_engine_mass_invariant_holds_too() {
+    fn compact_engine_mass_invariant_holds_too() {
         let inputs: Vec<u8> = (0..1_000).map(|i| (i % 9) as u8).collect();
         let config: CountConfig<u8> = inputs.iter().copied().collect();
-        let mut engine =
-            DenseCountEngine::with_parts(&Max, config, UniformCountScheduler::new(), 5);
+        let mut engine = CompactCountEngine::with_rng(
+            &Max,
+            config,
+            UniformCountScheduler::new(),
+            StdRng::seed_from_u64(5),
+        );
         while !engine.is_silent() {
             engine.advance_one_change(u64::MAX);
             assert_eq!(engine.mass(), mass_by_bruteforce(&engine));
@@ -1624,6 +1527,23 @@ mod tests {
         assert_eq!(report.consensus, Some(2), "primed states stay inert");
     }
 
+    /// A default-index engine warm-started from a snapshot of `table`,
+    /// seeded like [`CountEngine::from_config`].
+    fn warm_engine<'p, P: Protocol>(
+        protocol: &'p P,
+        config: CountConfig<P::State>,
+        seed: u64,
+        table: &TransitionTable<P>,
+    ) -> CountEngine<'p, P> {
+        CountEngine::with_snapshot_rng(
+            protocol,
+            config,
+            UniformCountScheduler::new(),
+            StdRng::seed_from_u64(seed),
+            table.snapshot(),
+        )
+    }
+
     /// Symmetric toy: both agents adopt the maximum (same rule as [`Max`]
     /// but declared symmetric, exercising the halved discovery path).
     struct SymMax;
@@ -1668,8 +1588,7 @@ mod tests {
         assert_eq!(table.active_pairs(), cold.active_pairs());
 
         let config: CountConfig<u8> = inputs.iter().copied().collect();
-        let mut warm =
-            CountEngine::with_table(&SymMax, config, UniformCountScheduler::new(), 77, &table);
+        let mut warm = warm_engine(&SymMax, config, 77, &table);
         assert_eq!(warm.warm_slots(), table.len());
         let warm_report = warm.run_until_silent(u64::MAX).unwrap();
         assert_eq!(warm_report, cold_report);
@@ -1681,8 +1600,7 @@ mod tests {
         let inputs: Vec<u8> = (0..200).map(|i| (i % 9) as u8).collect();
         let table = TransitionTable::new();
         let config: CountConfig<u8> = inputs.iter().copied().collect();
-        let mut warm =
-            CountEngine::with_table(&Max, config, UniformCountScheduler::new(), 5, &table);
+        let mut warm = warm_engine(&Max, config, 5, &table);
         assert_eq!(warm.warm_slots(), 0);
         let warm_report = warm.run_until_silent(u64::MAX).unwrap();
         let mut cold = CountEngine::from_inputs(&Max, &inputs, 5);
@@ -1719,8 +1637,7 @@ mod tests {
         // table-known pairs; slots materialize lazily, so only the states
         // the trajectory actually visits get one (state 3 stays virtual).
         let config: CountConfig<u8> = [1u8, 2, 5, 6].iter().copied().collect();
-        let mut warm =
-            CountEngine::with_table(&Max, config, UniformCountScheduler::new(), 3, &table);
+        let mut warm = warm_engine(&Max, config, 3, &table);
         assert_eq!(warm.warm_slots(), 5);
         assert_eq!(warm.slots(), 4, "only the config states materialized");
         let report = warm.run_until_silent(u64::MAX).unwrap();
@@ -1747,7 +1664,7 @@ mod tests {
         assert_eq!(table_a.len(), table_b.len(), "lengths must coincide");
 
         let config: CountConfig<u8> = [1u8, 2].iter().copied().collect();
-        let warm = CountEngine::with_table(&Max, config, UniformCountScheduler::new(), 3, &table_a);
+        let warm = warm_engine(&Max, config, 3, &table_a);
         warm.export_to(&table_b);
         let dump = table_b.dump();
         assert_eq!(dump.states.len(), 4, "5,6 from b; 1,2 merged in");
@@ -1770,8 +1687,7 @@ mod tests {
         assert_eq!(table.len(), 2);
         // The warm engine's config introduces state 9, unknown to the table.
         let config: CountConfig<u8> = [1u8, 2, 9].iter().copied().collect();
-        let mut warm =
-            CountEngine::with_table(&Max, config, UniformCountScheduler::new(), 4, &table);
+        let mut warm = warm_engine(&Max, config, 4, &table);
         assert_eq!(warm.warm_slots(), 2);
         assert_eq!(warm.slots(), 3, "state 9 discovered past the warm prefix");
         let report = warm.run_until_silent(u64::MAX).unwrap();
@@ -1978,11 +1894,11 @@ mod tests {
         assert_eq!(trace.len() as u64, engine.stats().state_changes);
 
         let config: CountConfig<u8> = inputs.iter().copied().collect();
-        let mut replayed = CountEngine::with_scheduler(
+        let mut replayed = CountEngine::<_, _, SparseActivity, _>::with_rng(
             &Max,
             config,
             trace.clone().into_scheduler(),
-            0, // RNG is irrelevant under replay
+            StdRng::seed_from_u64(0), // RNG is irrelevant under replay
         );
         for _ in 0..trace.len() {
             assert!(replayed.step().unwrap(), "every traced pair is active");

@@ -23,9 +23,9 @@
 //! - [`CountEngine`]: the batched count-based engine, driven by any
 //!   [`CountScheduler`] — it samples interacting *state pairs* instead of
 //!   agent indices and jumps between change-points in one draw. Its
-//!   [`Activity`] index (sparse adjacency + Fenwick sampling by default,
-//!   dense pair matrix as the benchmarked baseline) and `u128` pair
-//!   weights scale it to populations of billions of agents.
+//!   [`Activity`] index (sparse adjacency + Fenwick sampling, with a
+//!   compressed-row variant for large slot tables) and `u128` pair weights
+//!   scale it to populations of billions of agents.
 //! - [`InteractionTrace`]: record/replay of indexed interaction schedules;
 //!   [`CountTrace`]: its count-level analogue — the JSONL change-point
 //!   schedules that keep large-`n` failures reproducible and shrinkable.
@@ -94,11 +94,11 @@ pub mod transition_store;
 pub mod transition_table;
 
 pub use activity::{
-    Activity, AdjActivity, AdjRows, AdjStore, CompactActivity, CompactAdj, DenseActivity, RowRepr,
-    SparseActivity, VecAdj,
+    Activity, AdjActivity, AdjRows, AdjStore, CompactActivity, CompactAdj, RowRepr, SparseActivity,
+    VecAdj,
 };
 pub use config::CountConfig;
-pub use count_engine::{CompactCountEngine, CountEngine, DenseCountEngine};
+pub use count_engine::{CompactCountEngine, CountEngine};
 pub use count_trace::CountTrace;
 pub use error::FrameworkError;
 pub use fenwick::Fenwick;

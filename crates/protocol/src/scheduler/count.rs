@@ -77,10 +77,10 @@ impl<S> CountView<'_, S> {
 
     /// Maps the `r`-th unit of active weight (`r < mass`) to its ordered
     /// slot pair: pairs are ordered by initiator slot then responder slot,
-    /// each spanning its [`pair_weight`](Self::pair_weight). On the sparse
-    /// index this is a Fenwick prefix search plus an adjacency walk; on the
-    /// dense baseline a linear row-and-column scan. Both orderings agree,
-    /// so the same `r` yields the same pair on either index.
+    /// each spanning its [`pair_weight`](Self::pair_weight). The activity
+    /// index answers with a Fenwick prefix search (a linear row scan below
+    /// 64 slots) plus an adjacency walk; every index walks rows in ascending
+    /// slot order, so the same `r` yields the same pair on any of them.
     ///
     /// # Panics
     ///

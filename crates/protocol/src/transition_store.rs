@@ -8,7 +8,7 @@
 //! checksummed file and [`load`] bulk-reads it back into a
 //! [`TransitionTable`] with **zero protocol calls**, ready to warm-start
 //! engines through the lazy-oracle path
-//! ([`CountEngine::with_table`](crate::CountEngine::with_table)).
+//! ([`CountEngine::with_snapshot_rng`](crate::CountEngine::with_snapshot_rng)).
 //!
 //! The byte-level layout is specified in `docs/transition-store-format.md`;
 //! the invariants in short:

@@ -8,7 +8,7 @@
 //! their null/active classification, and from applied active pairs to their
 //! transition outcomes. A finished engine [exports](crate::CountEngine::export_to)
 //! everything it discovered; a fresh engine
-//! [warm-starts](crate::CountEngine::with_table) by bulk-loading the table
+//! [warm-starts](crate::CountEngine::with_snapshot_rng) from a snapshot of the table
 //! (`O(slots + pairs)`, zero protocol calls) and only pays discovery for
 //! states the table has never seen.
 //!
@@ -31,14 +31,13 @@
 //! latest handle, so capturing the snapshot for a new warm trial is a
 //! refcount bump, not a deep copy — `TrialRunner` in `pp_analysis` captures
 //! one snapshot per sweep epoch and shares it across every trial of the
-//! epoch. The pre-segment deep-copy path is kept as
-//! [`TransitionTable::snapshot_deep`], the measured baseline of the
-//! `warm_sweep` bench gate.
+//! epoch.
 //!
 //! # Example
 //!
 //! ```
 //! # use pp_protocol::{CountEngine, Protocol, TransitionTable, UniformCountScheduler};
+//! # use rand::{rngs::StdRng, SeedableRng};
 //! # struct Max;
 //! # impl Protocol for Max {
 //! #     type State = u8; type Input = u8; type Output = u8;
@@ -54,8 +53,13 @@
 //! // Seed 1 discovers; later seeds load the discovered structure.
 //! for seed in 0..4 {
 //!     let config = inputs.iter().map(|i| Max.input(i)).collect();
-//!     let mut engine =
-//!         CountEngine::with_table(&Max, config, UniformCountScheduler::new(), seed, &table);
+//!     let mut engine: CountEngine<'_, Max> = CountEngine::with_snapshot_rng(
+//!         &Max,
+//!         config,
+//!         UniformCountScheduler::new(),
+//!         StdRng::seed_from_u64(seed),
+//!         table.snapshot(),
+//!     );
 //!     engine.run_until_silent(u64::MAX)?;
 //!     engine.export_to(&table);
 //! }
@@ -344,7 +348,7 @@ impl<P: Protocol> TransitionTable<P> {
     /// and always covers at least the chain as of this call (a memoized
     /// handle may be slightly fresher — snapshots are lookup oracles, so
     /// extra known states only save discovery work; see the canonical-order
-    /// contract on [`CountEngine::with_table`](crate::CountEngine::with_table)).
+    /// contract on [`CountEngine::with_snapshot_rng`](crate::CountEngine::with_snapshot_rng)).
     pub fn snapshot(&self) -> Arc<TableSnapshot<P::State>> {
         let live = self.segs.load(Ordering::Acquire);
         let mut cache = self.cache.lock().expect("snapshot cache poisoned");
@@ -356,35 +360,6 @@ impl<P: Protocol> TransitionTable<P> {
         let snap = Arc::new(self.capture());
         *cache = Some(Arc::clone(&snap));
         snap
-    }
-
-    /// Rebuilds the contents as one freshly allocated, fully materialized
-    /// segment — the deep-copy work (states, index, rows, transpose for
-    /// asymmetric adjacencies, outcomes) that every warm trial paid per
-    /// construction before epoch snapshots. Kept as the measured baseline
-    /// of the `warm_sweep` snapshot-cost gate, and for callers that want a
-    /// snapshot sharing no storage with the table.
-    pub fn snapshot_deep(&self) -> TableSnapshot<P::State> {
-        let snap = self.capture();
-        let mut states = Vec::with_capacity(snap.len());
-        snap.for_each_state(|_, s| states.push(s.clone()));
-        let rows = match snap.flat_rows() {
-            FlatRows::Borrowed(rows) => rows.clone(),
-            FlatRows::Owned(rows) => rows,
-        };
-        let mut outcomes = HashMap::with_hasher(FxBuildHasher::default());
-        for seg in &snap.segments {
-            for (&k, &v) in &seg.outcomes {
-                outcomes.insert(k, v);
-            }
-        }
-        let symmetric = snap.segments.first().is_none_or(|s| s.symmetric);
-        let end = states.len() as u32;
-        let seg = Segment::new(0, states, rows, AdjRows::new(), outcomes, symmetric);
-        TableSnapshot {
-            segments: vec![Arc::new(seg)],
-            bounds: vec![end],
-        }
     }
 
     /// Wraps already-validated flat contents as a single base-0 segment,
@@ -436,7 +411,7 @@ impl std::ops::Deref for FlatRows<'_> {
 /// Warm engines use snapshots as *lookup oracles*: activity and outcome
 /// queries are answered from the snapshot instead of the protocol, without
 /// ever influencing slot numbering (see
-/// [`CountEngine::with_table`](crate::CountEngine::with_table)). Because
+/// [`CountEngine::with_snapshot_rng`](crate::CountEngine::with_snapshot_rng)). Because
 /// segments are immutable and the chain is captured by value, a snapshot
 /// never changes underneath its reader, no matter how many publishers race
 /// into the source table afterwards.

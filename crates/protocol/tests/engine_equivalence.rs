@@ -17,9 +17,11 @@
 
 use pp_protocol::{
     CountConfig, CountEngine, Population, Protocol, ReplayCountScheduler, Simulation,
-    UniformPairScheduler,
+    SparseActivity, UniformPairScheduler,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 struct Max;
 
@@ -83,11 +85,11 @@ proptest! {
         let steps = state_pairs.len() as u64;
 
         let config = inputs.iter().copied().collect();
-        let mut engine = CountEngine::with_scheduler(
+        let mut engine = CountEngine::<_, _, SparseActivity, _>::with_rng(
             &Max,
             config,
             ReplayCountScheduler::new(state_pairs),
-            seed ^ 0xDEAD_BEEF, // the RNG must be irrelevant under replay
+            StdRng::seed_from_u64(seed ^ 0xDEAD_BEEF), // the RNG must be irrelevant under replay
         );
         for _ in 0..steps {
             engine.step().unwrap();

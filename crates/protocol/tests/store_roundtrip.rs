@@ -19,8 +19,10 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use pp_protocol::transition_store::{self, StoreError, FORMAT_V1, FORMAT_VERSION};
-use pp_protocol::{CountEngine, Protocol, TransitionTable};
+use pp_protocol::{CountEngine, Protocol, SparseActivity, TransitionTable};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// A randomly generated symmetric rule over states `0..m` (u8 states give
 /// the `Display`/`FromStr` codec for free); mirrors the `warm_table`
@@ -154,12 +156,12 @@ proptest! {
         // A warm engine over the loaded table replays the cold run's
         // report bit-identically (canonical slot order contract).
         let config = inputs.iter().map(|i| protocol.input(i)).collect();
-        let mut warm = CountEngine::with_table(
+        let mut warm = CountEngine::<_, _, SparseActivity, _>::with_snapshot_rng(
             &protocol,
             config,
             pp_protocol::UniformCountScheduler::new(),
-            run_seed,
-            &loaded,
+            StdRng::seed_from_u64(run_seed),
+            loaded.snapshot(),
         );
         let _ = warm.run_until_silent(BUDGET);
         prop_assert_eq!(warm.report(), cold_report);

@@ -8,6 +8,8 @@ a wrong exit code here would silently turn bench-step failures into
 "regressions" (or worse, into passes).
 """
 
+import contextlib
+import io
 import json
 import os
 import sys
@@ -68,6 +70,17 @@ def test_regression_fails():
 def test_within_threshold_passes():
     cur = [{"bench": "warm_sweep/sweep_ns", "median_ns": 150.0, "quick": True}]
     assert _run(ROWS, cur) == 0
+
+
+def test_rows_gone_from_current_are_reported_and_pass():
+    # Retiring a bench row (a deleted baseline, say) is not a regression:
+    # the label prints as gone and the diff still exits 0.
+    prev = ROWS + [{"bench": "warm_sweep/deep_snapshot_ns", "median_ns": 6e8, "quick": True}]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = _run(prev, ROWS)
+    assert code == 0
+    assert "gone  warm_sweep/deep_snapshot_ns [quick]" in out.getvalue(), out.getvalue()
 
 
 def test_missing_current_is_usage_error():

@@ -14,10 +14,12 @@
 
 use circles::core::{CirclesProtocol, CirclesState, Color};
 use circles::protocol::{
-    CountEngine, CountTrace, DenseCountEngine, Population, ReplayCountScheduler, RunReport,
-    Simulation, UniformCountScheduler, UniformPairScheduler,
+    CompactCountEngine, CountEngine, CountTrace, Population, ReplayCountScheduler, RunReport,
+    Simulation, SparseActivity, UniformCountScheduler, UniformPairScheduler,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// An inline margin workload: color 0 leads by `margin` over equally
 /// supported losers (kept local so this test file stays independent of the
@@ -78,11 +80,11 @@ proptest! {
             use circles::protocol::Protocol;
             protocol.input(c)
         }).collect();
-        let mut engine = CountEngine::with_scheduler(
+        let mut engine = CountEngine::<_, _, SparseActivity, _>::with_rng(
             &protocol,
             config,
             ReplayCountScheduler::new(state_pairs),
-            !seed, // the RNG must be irrelevant under replay
+            StdRng::seed_from_u64(!seed), // the RNG must be irrelevant under replay
         );
         for _ in 0..steps {
             engine.step().unwrap();
@@ -94,10 +96,10 @@ proptest! {
 }
 
 /// Large-k Circles replay: the same indexed schedule, driven through the
-/// sparse (Fenwick + adjacency) and dense (pair matrix) activity indexes,
+/// sparse (flat rows) and compact (compressed rows) activity indexes,
 /// produces bit-identical reports and configurations — with slot tables
-/// far past the Fenwick threshold (slots ≫ 100), where the sparse
-/// bookkeeping actually diverges from the dense code path.
+/// far past the Fenwick threshold (slots ≫ 100), where both indexes draw
+/// through the tree.
 #[test]
 fn large_k_circles_replay_is_bit_identical_on_both_indexes() {
     let k = 12u16;
@@ -114,26 +116,30 @@ fn large_k_circles_replay_is_bit_identical_on_both_indexes() {
             })
             .collect();
 
-        let mut sparse = CountEngine::with_scheduler(
+        let mut sparse = CountEngine::<_, _, SparseActivity, _>::with_rng(
             &protocol,
             config.clone(),
             ReplayCountScheduler::new(state_pairs.clone()),
-            !seed,
+            StdRng::seed_from_u64(!seed),
         );
-        let mut dense = DenseCountEngine::with_parts(
+        let mut compact = CompactCountEngine::with_rng(
             &protocol,
             config,
             ReplayCountScheduler::new(state_pairs),
-            seed ^ 0xABCD, // the RNG must be irrelevant under replay
+            StdRng::seed_from_u64(seed ^ 0xABCD), // the RNG must be irrelevant under replay
         );
         for _ in 0..steps {
             sparse.step().unwrap();
-            dense.step().unwrap();
+            compact.step().unwrap();
         }
         assert_eq!(sparse.report(), reference, "sparse vs indexed, seed {seed}");
-        assert_eq!(dense.report(), reference, "dense vs indexed, seed {seed}");
-        assert_eq!(sparse.config(), dense.config(), "configs, seed {seed}");
-        assert_eq!(sparse.slots(), dense.slots(), "slot tables, seed {seed}");
+        assert_eq!(
+            compact.report(),
+            reference,
+            "compact vs indexed, seed {seed}"
+        );
+        assert_eq!(sparse.config(), compact.config(), "configs, seed {seed}");
+        assert_eq!(sparse.slots(), compact.slots(), "slot tables, seed {seed}");
         assert!(
             sparse.slots() > 100,
             "workload must exercise a large slot table, got {}",
@@ -144,10 +150,10 @@ fn large_k_circles_replay_is_bit_identical_on_both_indexes() {
 
 /// Uniform-random batched runs on the two activity indexes are bit-identical
 /// for the same seed: both draw the same geometric skips and the same
-/// `r ∈ [0, mass)`, and the Fenwick prefix search must resolve `r` to
-/// exactly the pair the dense linear scan finds.
+/// `r ∈ [0, mass)`, and the walk over compressed rows must resolve `r` to
+/// exactly the pair the flat rows find.
 #[test]
-fn sparse_and_dense_uniform_runs_are_bit_identical_at_large_k() {
+fn sparse_and_compact_uniform_runs_are_bit_identical_at_large_k() {
     let k = 18u16;
     let protocol = CirclesProtocol::new(k).unwrap();
     let inputs = margin_inputs(1200, k, 120);
@@ -161,13 +167,17 @@ fn sparse_and_dense_uniform_runs_are_bit_identical_at_large_k() {
 
     let mut sparse = CountEngine::from_config(&protocol, config.clone(), 7);
     let sparse_report = sparse.run_until_silent(u64::MAX / 2).unwrap();
-    let mut dense =
-        DenseCountEngine::with_parts(&protocol, config, UniformCountScheduler::new(), 7);
-    let dense_report = dense.run_until_silent(u64::MAX / 2).unwrap();
+    let mut compact = CompactCountEngine::with_rng(
+        &protocol,
+        config,
+        UniformCountScheduler::new(),
+        StdRng::seed_from_u64(7),
+    );
+    let compact_report = compact.run_until_silent(u64::MAX / 2).unwrap();
 
-    assert_eq!(sparse_report, dense_report);
-    assert_eq!(sparse.config(), dense.config());
-    assert_eq!(sparse.slots(), dense.slots());
+    assert_eq!(sparse_report, compact_report);
+    assert_eq!(sparse.config(), compact.config());
+    assert_eq!(sparse.slots(), compact.slots());
     assert!(
         sparse.slots() > 1000,
         "workload must exercise a large slot table, got {}",
@@ -201,7 +211,12 @@ fn count_trace_jsonl_round_trips_and_replays() {
         })
         .collect();
     let steps = parsed.len();
-    let mut replayed = CountEngine::with_scheduler(&protocol, config, parsed.into_scheduler(), 999);
+    let mut replayed = CountEngine::<_, _, SparseActivity, _>::with_rng(
+        &protocol,
+        config,
+        parsed.into_scheduler(),
+        StdRng::seed_from_u64(999),
+    );
     for _ in 0..steps {
         assert!(replayed.step().unwrap(), "every traced pair changes state");
     }
