@@ -17,10 +17,14 @@
 //! acceptance criterion that persistence replaces every discovery call),
 //! `table_store/cold_over_load_x` (cold discovery over load, **asserted
 //! `>= 10`**: reading the store must cost a small fraction of
-//! rediscovering its contents), and `table_store/cold_over_warm_x` (cold
+//! rediscovering its contents), `table_store/cold_over_warm_x` (cold
 //! discovery over load + prime, informational: priming is engine
 //! materialization that any warm start pays, disk-backed or not, so it is
-//! benched but not gated here — `warm_sweep` owns that surface).
+//! benched but not gated here — `warm_sweep` owns that surface), and
+//! `table_store/quotient_save_ns` / `table_store/quotient_load_ns` (the v2
+//! quotient-layout writer, orbit-coherence check included, and loader on
+//! the full `k = 24` enumeration built here by `quotient_table`; the round
+//! trip is asserted to reproduce the table).
 //!
 //! The bench also runs one seed cold and one seed warm-from-disk and
 //! asserts the two `RunReport`s are bit-identical — the store can only
@@ -42,6 +46,8 @@ use rand::SeedableRng;
 
 const K: u16 = 30;
 const N: usize = 3_000;
+/// Color count of the full-enumeration table the v2 rows time.
+const QUOTIENT_K: u16 = 24;
 
 fn bench_table_store(c: &mut Criterion) {
     let protocol = CirclesProtocol::new(K).unwrap();
@@ -176,6 +182,34 @@ fn bench_table_store(c: &mut Criterion) {
     );
 
     let _ = std::fs::remove_file(&own_store);
+
+    // The v2 (quotient) layout: save — orbit-coherence check included —
+    // and load of the full k = 24 enumeration, built through the quotient.
+    let full_protocol = CirclesProtocol::new(QUOTIENT_K).unwrap();
+    let full = pp_protocol::quotient_table(&full_protocol).expect("circles exposes a quotient");
+    let v2_store = std::env::temp_dir().join(format!(
+        "pp-table-store-bench-v2-{}.ppts",
+        std::process::id()
+    ));
+    let start = Instant::now();
+    transition_store::save_quotient(&full, &full_protocol, &v2_store).unwrap();
+    let quotient_save_ns = start.elapsed().as_nanos() as f64;
+    let start = Instant::now();
+    let reloaded = transition_store::load(&full_protocol, &v2_store).unwrap();
+    let quotient_load_ns = start.elapsed().as_nanos() as f64;
+    let _ = std::fs::remove_file(&v2_store);
+    assert!(
+        reloaded.dump() == full.dump(),
+        "the v2 round trip must reproduce the table"
+    );
+    criterion::report_external("table_store/quotient_save_ns", quotient_save_ns, 1);
+    criterion::report_external("table_store/quotient_load_ns", quotient_load_ns, 1);
+    println!(
+        "table_store: k={QUOTIENT_K} full table ({} states) v2 save {:.1}ms, load {:.1}ms",
+        full.len(),
+        quotient_save_ns / 1e6,
+        quotient_load_ns / 1e6,
+    );
     let _ = c;
 }
 

@@ -379,10 +379,13 @@ where
     for _ in 0..slots {
         rows.push_slot();
     }
-    // Tid-level permutation tables, one per group element actually used,
-    // built lazily: perm[t] = tid of apply(g, states[t]).
-    let mut perms: HashMap<u32, Vec<u32>, FxBuildHasher> =
-        HashMap::with_hasher(FxBuildHasher::default());
+    let mut images = OrbitImages::new(quotient, index, slots, |t| &states[t as usize]);
+    let outside = |g: u32, t: u32| {
+        format!(
+            "group element {g} maps {:?} outside the state set",
+            states[t as usize]
+        )
+    };
     let threshold = slots / 8 + 8;
     let row_words = slots.div_ceil(64);
     let mut scratch: Vec<u32> = Vec::new();
@@ -399,28 +402,16 @@ where
             set_sorted_row(&mut rows, tid, rep_row, threshold, row_words);
             continue;
         }
-        if let Entry::Vacant(e) = perms.entry(g) {
-            let mut perm = Vec::with_capacity(slots);
-            for s in states {
-                let image = quotient.apply(g, s);
-                let &t = index
-                    .get(&image)
-                    .ok_or_else(|| format!("group element {g} maps {s:?} outside the state set"))?;
-                perm.push(t);
-            }
-            e.insert(perm);
-        }
-        let perm = &perms[&g];
         if rep_row.len() > threshold {
             // A sparse encoding cannot fit (≥ 1 byte per id): go straight
             // to the bitset, which needs no sort.
             let mut blocks = vec![0u64; row_words];
-            for &t in rep_row {
-                let m = perm[t as usize] as usize;
-                blocks[m / 64] |= 1 << (m % 64);
-            }
+            images
+                .scatter(g, rep_row, &mut blocks)
+                .map_err(|t| outside(g, t))?;
             rows.set_row_dense(tid, blocks, rep_row.len() as u32);
         } else {
+            let perm = images.perm(g).map_err(|t| outside(g, t))?;
             scratch.clear();
             scratch.extend(rep_row.iter().map(|&t| perm[t as usize]));
             scratch.sort_unstable();
@@ -428,6 +419,73 @@ where
         }
     }
     Ok(rows)
+}
+
+/// The orbit image of a row: the tid-level permutation of each group
+/// element, built lazily on first use (`perm(g)[t]` is the tid of
+/// `apply(g, state(t))`), and the scatter of a row through it. The one
+/// place this image is computed — [`expand_orbit_rows`] and the `.ppts` v2
+/// writer's coherence check
+/// ([`save_quotient`](crate::transition_store::save_quotient)) share it, so
+/// the loader and the writer cannot disagree on what a row's orbit image
+/// is.
+pub(crate) struct OrbitImages<'a, S, Q: ?Sized, F> {
+    quotient: &'a Q,
+    index: &'a HashMap<&'a S, u32, FxBuildHasher>,
+    slots: usize,
+    state: F,
+    perms: HashMap<u32, Vec<u32>, FxBuildHasher>,
+}
+
+impl<'a, S, Q, F> OrbitImages<'a, S, Q, F>
+where
+    S: Eq + Hash + 'a,
+    Q: StateQuotient<S> + ?Sized,
+    F: Fn(u32) -> &'a S,
+{
+    /// Images over the `slots` states `state(0..slots)`, whose tids
+    /// `index` maps back.
+    pub(crate) fn new(
+        quotient: &'a Q,
+        index: &'a HashMap<&'a S, u32, FxBuildHasher>,
+        slots: usize,
+        state: F,
+    ) -> Self {
+        OrbitImages {
+            quotient,
+            index,
+            slots,
+            state,
+            perms: HashMap::with_hasher(FxBuildHasher::default()),
+        }
+    }
+
+    /// The tid-level permutation of `g`, or `Err(t)` naming a state `g`
+    /// maps outside the state set.
+    fn perm(&mut self, g: u32) -> Result<&[u32], u32> {
+        match self.perms.entry(g) {
+            Entry::Occupied(e) => Ok(e.into_mut()),
+            Entry::Vacant(e) => {
+                let mut perm = Vec::with_capacity(self.slots);
+                for t in 0..self.slots as u32 {
+                    let image = self.quotient.apply(g, (self.state)(t));
+                    perm.push(*self.index.get(&image).ok_or(t)?);
+                }
+                Ok(e.insert(perm))
+            }
+        }
+    }
+
+    /// ORs the image of `row` under `g` into the bitset `blocks` — no sort,
+    /// whatever order `row` is in. `Err(t)` as for [`perm`](Self::perm).
+    pub(crate) fn scatter(&mut self, g: u32, row: &[u32], blocks: &mut [u64]) -> Result<(), u32> {
+        let perm = self.perm(g)?;
+        for &t in row {
+            let m = perm[t as usize] as usize;
+            blocks[m / 64] |= 1 << (m % 64);
+        }
+        Ok(())
+    }
 }
 
 /// Installs `ids` (ascending) as row `tid`, choosing the same sparse/dense
@@ -626,6 +684,108 @@ mod tests {
                     "pair ({i}, {j}) misclassified"
                 );
             }
+        }
+    }
+
+    /// A table over `states` with rows `lists`, built through incremental
+    /// pushes — the representation path discovery takes.
+    fn table_from_lists(states: Vec<u8>, lists: &[Vec<u32>]) -> TransitionTable<RotMod> {
+        let mut rows = AdjRows::new();
+        for _ in 0..states.len() {
+            rows.push_slot();
+        }
+        for (i, ids) in lists.iter().enumerate() {
+            for &j in ids {
+                rows.push(i, j as usize);
+            }
+        }
+        TransitionTable::from_parts(
+            states,
+            rows,
+            HashMap::with_hasher(FxBuildHasher::default()),
+            true,
+        )
+    }
+
+    /// `save_quotient` of `table`, through a temp path unique to `tag`.
+    fn try_save_quotient(
+        table: &TransitionTable<RotMod>,
+        p: &RotMod,
+        tag: &str,
+    ) -> Result<(), crate::transition_store::StoreError> {
+        let path = std::env::temp_dir().join(format!(
+            "pp-quotient-coherence-{tag}-{}.ppts",
+            std::process::id()
+        ));
+        let saved = crate::transition_store::save_quotient(table, p, &path);
+        let _ = std::fs::remove_file(&path);
+        saved.map(|_| ())
+    }
+
+    /// Tampers with non-representative row `t` of `quotient_table(RotMod(m))`
+    /// (drop one id; swap one id for an absent one) and asserts that
+    /// `save_quotient` rejects each tampered table naming row `t`, with the
+    /// tampered row stored `dense` or sparse as asked.
+    fn assert_incoherent_rows_rejected(m: u8, t: usize, dense: bool) {
+        let p = RotMod::new(m);
+        let lists = quotient_table(&p).unwrap().dump().rows;
+        try_save_quotient(
+            &table_from_lists(p.states(), &lists),
+            &p,
+            &format!("{m}-ok"),
+        )
+        .expect("the untampered table is coherent");
+        let absent = (0..u32::from(m)).find(|j| !lists[t].contains(j)).unwrap();
+        let mut dropped = lists.clone();
+        dropped[t].pop();
+        let mut swapped = lists.clone();
+        swapped[t].pop();
+        swapped[t].push(absent);
+        swapped[t].sort_unstable();
+        for (how, lists) in [("dropped", dropped), ("swapped", swapped)] {
+            let table = table_from_lists(p.states(), &lists);
+            let snap = table.snapshot();
+            assert_eq!(
+                matches!(
+                    snap.flat_rows().row_repr(t),
+                    crate::activity::RowRepr::Dense { .. }
+                ),
+                dense,
+                "m = {m}, {how}: row {t} has the wrong storage form"
+            );
+            match try_save_quotient(&table, &p, &format!("{m}-{how}")) {
+                Err(crate::transition_store::StoreError::Quotient(msg)) => assert!(
+                    msg.starts_with(&format!("row {t} is not the orbit image")),
+                    "m = {m}, {how}: unexpected message {msg:?}"
+                ),
+                other => panic!("m = {m}, {how}: expected a quotient error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn save_quotient_rejects_an_incoherent_sparse_row() {
+        // m = 16: rows hold 8 ids (8 payload bytes <= threshold 10).
+        assert_incoherent_rows_rejected(16, 5, false);
+    }
+
+    #[test]
+    fn save_quotient_rejects_an_incoherent_dense_row() {
+        // m = 200: rows hold 100 ids (> threshold 33 bytes).
+        assert_incoherent_rows_rejected(200, 7, true);
+    }
+
+    #[test]
+    fn save_quotient_rejects_a_state_set_missing_its_representative() {
+        // Every RotMod state canonicalizes to 0; leave 0 out.
+        let p = RotMod::new(8);
+        let states: Vec<u8> = (1..8).collect();
+        let table = table_from_lists(states, &vec![Vec::new(); 7]);
+        match try_save_quotient(&table, &p, "no-rep") {
+            Err(crate::transition_store::StoreError::Quotient(msg)) => {
+                assert!(msg.contains("canonicalizes outside"), "{msg:?}")
+            }
+            other => panic!("expected a quotient error, got {other:?}"),
         }
     }
 

@@ -16,22 +16,24 @@
 //! discipline: little-endian fixed header with magic, endianness marker,
 //! format version, protocol identity fingerprint and section table; a
 //! word-folded FNV checksum over the whole file (checksum field zeroed);
-//! atomic tmp + rename writes; and a typed error ([`CheckpointError`]) for
-//! every corruption path — a load never silently yields a wrong resume.
+//! atomic, synced tmp + rename writes; and a typed error
+//! ([`CheckpointError`]) for every corruption path — a load never silently
+//! yields a wrong resume.
 //! The byte-level layout is specified in `docs/run-checkpoint-format.md`.
 
 use std::fmt::{self, Display};
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use rand::rngs::{Philox4x32, StdRng};
 use rand::RngCore;
 
 use crate::protocol::Protocol;
 use crate::simulation::SimStats;
-use crate::transition_store::{checksum64, fingerprint, push_varint, read_u32, read_u64};
+use crate::transition_store::{
+    checksum64, fingerprint, push_varint, read_u32, read_u64, write_atomic,
+};
 
 /// Format version written by this build; loads accept exactly this version.
 pub const FORMAT_VERSION: u32 = 1;
@@ -388,14 +390,16 @@ impl<S> RunCheckpoint<S> {
 
 /// Serializes `checkpoint` into `path`.
 ///
-/// The write is atomic: a temp file in the target directory is fully
-/// written, checksummed and then renamed over `path`, so a crash leaves
-/// either the previous checkpoint or none — never a torn file. `S: Display`
+/// The write is atomic and durable: a temp file in the target directory is
+/// fully written, checksummed and synced, then renamed over `path`, and the
+/// directory is synced — so a crash, power loss included, leaves either the
+/// previous checkpoint or the new one, never a torn file. `S: Display`
 /// supplies the state codec; [`load`] inverts it through `FromStr`.
 ///
 /// # Errors
 ///
-/// [`CheckpointError::Io`] when the temp file cannot be written or renamed;
+/// [`CheckpointError::Io`] when the temp file cannot be written, synced or
+/// renamed;
 /// [`CheckpointError::Corrupt`] when the in-memory checkpoint violates its
 /// own invariants ([`RunCheckpoint::validate`]).
 pub fn save<S: Display>(
@@ -485,26 +489,7 @@ pub fn save<S: Display>(
     // zeroed-field convention the verifier uses.
     let checksum = checksum64(&file);
     file[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8].copy_from_slice(&checksum.to_le_bytes());
-
-    static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = match path.parent() {
-        Some(d) if !d.as_os_str().is_empty() => d.to_path_buf(),
-        _ => PathBuf::from("."),
-    };
-    let stem = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .unwrap_or("checkpoint");
-    let tmp = dir.join(format!(
-        ".{stem}.{}.{}.tmp",
-        std::process::id(),
-        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    fs::write(&tmp, &file)?;
-    if let Err(e) = fs::rename(&tmp, path) {
-        let _ = fs::remove_file(&tmp);
-        return Err(CheckpointError::Io(e));
-    }
+    write_atomic(path, &file)?;
 
     Ok(CheckpointMeta {
         protocol: checkpoint.protocol.clone(),

@@ -32,16 +32,17 @@
 //!   discovered Circles table loads back as word copies, not one varint
 //!   decode per pair.
 //!
-//! Files are written atomically (temp file + rename), so a crashed writer
-//! leaves either the previous store or none. Loads go through one
+//! Files are written atomically and durably (synced temp file + rename +
+//! directory sync), so a crashed writer leaves either the previous store or
+//! the complete new one. Loads go through one
 //! `std::fs::read` bulk read — the workspace forbids `unsafe`, so no
 //! memory-mapping; at the ~MB scale of Circles stores the copy is
 //! negligible next to parsing.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt::{self, Display};
 use std::fs;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -49,7 +50,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::activity::{AdjRows, RowRepr};
 use crate::hashing::FxBuildHasher;
 use crate::protocol::Protocol;
-use crate::quotient::{expand_orbit_rows, StateQuotient};
+use crate::quotient::{expand_orbit_rows, OrbitImages, StateQuotient};
 use crate::transition_table::TransitionTable;
 
 /// Newest format version this build reads. [`save`] writes version 1
@@ -453,12 +454,6 @@ fn parse_and_verify(bytes: &mut [u8]) -> Result<RawStore<'_>, StoreError> {
     })
 }
 
-/// Number of bytes `v` occupies as an LEB128 varint.
-fn varint_len(v: u64) -> usize {
-    let bits = 64 - (v | 1).leading_zeros() as usize;
-    bits.div_ceil(7)
-}
-
 /// Decodes an (in-memory, trusted) row representation into its ascending
 /// id list.
 fn row_ids(repr: RowRepr<'_>) -> Vec<u32> {
@@ -521,7 +516,9 @@ fn sparse_payload(ids: &[u32]) -> Vec<u8> {
 /// densifies against the slot count *at push time*, so a row filled early
 /// may sit in a bitset that the final, larger threshold would keep sparse.
 /// Re-deciding here is what makes equal tables byte-identical on disk
-/// regardless of how they were built.
+/// regardless of how they were built — and what [`save_quotient`]'s
+/// coherence check relies on: the encoding is a function of the row's
+/// contents alone, so two rows encode equally exactly when they are equal.
 fn encode_row(out: &mut Vec<u8>, repr: RowRepr<'_>, threshold: usize, row_words: usize) {
     let (RowRepr::Sparse { len, .. } | RowRepr::Dense { len, .. }) = repr;
     push_varint(out, u64::from(len));
@@ -563,34 +560,6 @@ fn encode_row(out: &mut Vec<u8>, repr: RowRepr<'_>, threshold: usize, row_words:
                 None => dense_bits(out, blocks),
             }
         }
-    }
-}
-
-/// Byte length [`encode_row`] would append for this row, without
-/// materializing the encoding — how [`save_quotient`] prices the v1 layout
-/// it is *not* writing.
-fn encoded_row_len(repr: RowRepr<'_>, threshold: usize, row_words: usize) -> usize {
-    let (RowRepr::Sparse { len, .. } | RowRepr::Dense { len, .. }) = repr;
-    let head = varint_len(u64::from(len));
-    if len == 0 {
-        return head;
-    }
-    let payload_len = match repr {
-        RowRepr::Sparse { payload, .. } => Some(payload.len()),
-        RowRepr::Dense { .. } if len as usize <= threshold => {
-            let mut total = 0usize;
-            let mut prev = 0u32;
-            for (n, id) in row_ids(repr).into_iter().enumerate() {
-                total += varint_len(u64::from(if n == 0 { id } else { id - prev }));
-                prev = id;
-            }
-            Some(total)
-        }
-        RowRepr::Dense { .. } => None,
-    };
-    match payload_len.filter(|&p| p <= threshold) {
-        Some(p) => head + 1 + varint_len(p as u64) + p,
-        None => head + 1 + row_words * 8,
     }
 }
 
@@ -637,41 +606,52 @@ fn assemble_file(
     file
 }
 
-/// Atomically writes `bytes` to `path`: a temp file in the target
-/// directory is fully written and then renamed over `path`, so a crash
-/// leaves either the previous store or none.
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+/// Atomically and durably writes `bytes` to `path`: a temp file in the
+/// target directory is fully written and synced, renamed over `path`, and
+/// the directory is synced after the rename — so a crash, power loss
+/// included, leaves either the previous file or the complete new one.
+/// Shared by the store and run-checkpoint ([`crate::run_checkpoint`])
+/// writers.
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
     let dir = match path.parent() {
         Some(d) if !d.as_os_str().is_empty() => d.to_path_buf(),
         _ => PathBuf::from("."),
     };
-    let stem = path.file_name().and_then(|n| n.to_str()).unwrap_or("store");
+    let stem = path.file_name().and_then(|n| n.to_str()).unwrap_or("file");
     let tmp = dir.join(format!(
         ".{stem}.{}.{}.tmp",
         std::process::id(),
         TMP_SEQ.fetch_add(1, Ordering::Relaxed)
     ));
-    fs::write(&tmp, bytes)?;
-    if let Err(e) = fs::rename(&tmp, path) {
+    let written = fs::File::create(&tmp).and_then(|mut f| {
+        f.write_all(bytes)?;
+        f.sync_all()
+    });
+    if let Err(e) = written.and_then(|()| fs::rename(&tmp, path)) {
         let _ = fs::remove_file(&tmp);
-        return Err(StoreError::Io(e));
+        return Err(e);
     }
+    // Only Unix opens (and so syncs) a directory as a file.
+    #[cfg(unix)]
+    fs::File::open(&dir)?.sync_all()?;
     Ok(())
 }
 
 /// Serializes `table` for `protocol` into `path` (the v1 layout: every row
 /// expanded).
 ///
-/// The write is atomic (temp file + rename), so a crash leaves either
-/// the previous store or none. `P::State: Display` supplies the state
-/// codec; [`load`] inverts it through `FromStr`.
+/// The write is atomic and durable (synced temp file + rename + directory
+/// sync), so a crash leaves either the previous store or the new one.
+/// `P::State: Display` supplies the state codec; [`load`] inverts it
+/// through `FromStr`.
 ///
 /// Returns the metadata of the written file.
 ///
 /// # Errors
 ///
-/// [`StoreError::Io`] when the temp file cannot be written or renamed.
+/// [`StoreError::Io`] when the temp file cannot be written, synced or
+/// renamed.
 pub fn save<P>(
     table: &TransitionTable<P>,
     protocol: &P,
@@ -762,7 +742,10 @@ where
 ///
 /// Before writing, the table is checked to be *orbit-coherent*: every
 /// state's canonical representative must be a stored state, and every row
-/// must equal the group image of its representative's row. A table built
+/// must equal the group image of its representative's row. The check sorts
+/// nothing: each image is scattered into one reused bitset and its
+/// canonical row encoding compared with the stored row's, in
+/// `O(pairs + states · row_words)` time and no second table. A table built
 /// by any discovery path over an orbit-closed state set (e.g.
 /// [`quotient_table`](crate::quotient_table), or a cold engine primed with
 /// the full enumeration) passes; a table over a partial, non-closed state
@@ -834,38 +817,42 @@ where
 
     // Coherence check — every row must be the group image of its
     // representative's row — folded together with the v1 byte accounting
-    // (the price of the expanded layout this save is avoiding).
-    let mut perms: HashMap<u32, Vec<u32>, FxBuildHasher> =
-        HashMap::with_hasher(FxBuildHasher::default());
+    // (the price of the expanded layout this save is avoiding). Every row
+    // is encoded once; a non-representative row's image is scattered into
+    // one reused bitset and encoded too. [`encode_row`] is a function of
+    // row contents alone, so the two encodings are equal exactly when the
+    // rows are, whichever in-memory form the stored row has — no sort.
+    let mut images = OrbitImages::new(quotient, &index, slots, |u| snap.state(u));
+    let mut image = vec![0u64; row_words];
+    let (mut got, mut want) = (Vec::new(), Vec::new());
     let mut v1_rows_len = 0usize;
-    let mut scratch: Vec<u32> = Vec::new();
     for (t, &(rep, g)) in rep_of.iter().enumerate() {
-        v1_rows_len += encoded_row_len(rows.row_repr(t), threshold, row_words);
+        got.clear();
+        encode_row(&mut got, rows.row_repr(t), threshold, row_words);
+        v1_rows_len += got.len();
         if t as u32 == rep {
             continue;
         }
-        if let Entry::Vacant(e) = perms.entry(g) {
-            let mut perm = Vec::with_capacity(slots);
-            for u in 0..slots as u32 {
-                let image = quotient.apply(g, snap.state(u));
-                let Some(&m) = index.get(&image) else {
-                    return Err(StoreError::Quotient(format!(
-                        "group element {g} maps state {u} outside the stored state set"
-                    )));
-                };
-                perm.push(m);
-            }
-            e.insert(perm);
-        }
-        let perm = &perms[&g];
-        scratch.clear();
-        scratch.extend(
-            rep_ids[rep_pos[&rep] as usize]
-                .iter()
-                .map(|&u| perm[u as usize]),
+        image.fill(0);
+        images
+            .scatter(g, &rep_ids[rep_pos[&rep] as usize], &mut image)
+            .map_err(|u| {
+                StoreError::Quotient(format!(
+                    "group element {g} maps state {u} outside the stored state set"
+                ))
+            })?;
+        let len = image.iter().map(|w| w.count_ones()).sum();
+        want.clear();
+        encode_row(
+            &mut want,
+            RowRepr::Dense {
+                blocks: &image,
+                len,
+            },
+            threshold,
+            row_words,
         );
-        scratch.sort_unstable();
-        if row_ids(rows.row_repr(t)) != scratch {
+        if got != want {
             return Err(StoreError::Quotient(format!(
                 "row {t} is not the orbit image of its representative {rep} — the table was \
                  not built orbit-coherently"
