@@ -4,10 +4,11 @@
 //! colors? More colors mean longer circles to assemble (`⋃ f(G_p)` has
 //! arcs spanning more distinct colors) but also fewer agents per color.
 //!
-//! The grid reaches `k = 50` (125 000 states): per-seed discovery at that
-//! size is paid through the color-orbit quotient — the engine classifies
-//! one canonical pair per orbit and expands the rest mechanically — so the
-//! sweep's transition bill stays `O(k⁵)`, not `O(k⁶)`.
+//! The grid reaches `k = 50` (125 000 states): a run discovers only the
+//! states it visits, with one transition call per unordered pair of them
+//! (Circles is symmetric), and each `k` shares one transition table across
+//! its seeds and workloads, so later runs materialize table-known pairs
+//! with no calls.
 
 use crate::stats::{log_log_slope, Summary};
 use crate::table::{fmt_f64, Table};

@@ -22,12 +22,13 @@
 //! 4. `discovery/quotient_*` — full `k³` enumeration (27 000 states,
 //!    rotation-closed unlike the scout set) discovered once through the
 //!    symmetric last-query memo and once through the color-orbit quotient
-//!    (one protocol call per canonical pair, the orbit reconstructed
-//!    mechanically). The quotient call ratio is **asserted ≥ 20×**
-//!    (structurally `k = 30×`: rotation folding `k×`, on top of the same
-//!    swap folding the memo already gets), the two tables are asserted
-//!    row-for-row identical, and a fixed-seed warm run over each must
-//!    produce bit-identical `RunReport`s.
+//!    (`quotient_table`: one classified row per canonical representative,
+//!    the rest of each orbit expanded mechanically). The quotient call
+//!    ratio is **asserted ≥ 20×** (structurally `k = 30×`: rotation
+//!    folding `k×`, on top of the same swap folding the memo already
+//!    gets), the two tables are asserted row-for-row identical, and a
+//!    fixed-seed warm run over each must produce bit-identical
+//!    `RunReport`s.
 
 use std::cell::Cell;
 use std::time::Instant;

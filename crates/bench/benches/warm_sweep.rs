@@ -22,8 +22,10 @@
 //! two thread counts and diffs the two reports byte-for-byte — the
 //! executable form of "bench rows are thread-count-independent".
 //!
-//! Reported rows: `warm_sweep/cold_quotient_discovery_ns` (one cold
-//! discovery, through the color-quotient memo real Circles runs use),
+//! Reported rows: `warm_sweep/cold_discovery_ns` and
+//! `warm_sweep/cold_discovery_calls` (one cold discovery through the
+//! engine's symmetric memo, in wall-clock and transition calls; the call
+//! count is asserted to be exactly one call per unordered slot pair),
 //! `warm_sweep/warm_materialize_ns` (one lazy warm materialization of the
 //! same slot set + export), `warm_sweep/discovery_call_ratio_x` (16 cold
 //! bills over the warm bill, in transition calls),
@@ -84,6 +86,11 @@ fn bench_warm_sweep(c: &mut Criterion) {
     };
     let (a, b) = (cold_sample(), cold_sample());
     let (cold_discovery_ns, cold_calls) = if a.0 < b.0 { a } else { b };
+    assert_eq!(
+        cold_calls,
+        (slots * (slots + 1) / 2) as u64,
+        "cold discovery must classify each unordered slot pair exactly once"
+    );
 
     // One warm bill: materialize the same slot set lazily from the table
     // snapshot plus the export a warm trial performs afterwards, on the
@@ -136,16 +143,8 @@ fn bench_warm_sweep(c: &mut Criterion) {
     let time_bill_warm = cold_discovery_ns + warm_materialize_ns * (SEEDS - 1) as f64;
     let time_ratio = time_bill_cold / time_bill_warm;
     criterion::report_external("warm_sweep/slots", slots as f64, 1);
-    criterion::report_external(
-        "warm_sweep/cold_quotient_discovery_ns",
-        cold_discovery_ns,
-        2,
-    );
-    criterion::report_external(
-        "warm_sweep/cold_quotient_discovery_calls",
-        cold_calls as f64,
-        1,
-    );
+    criterion::report_external("warm_sweep/cold_discovery_ns", cold_discovery_ns, 2);
+    criterion::report_external("warm_sweep/cold_discovery_calls", cold_calls as f64, 1);
     criterion::report_external("warm_sweep/warm_materialize_ns", warm_materialize_ns, 3);
     criterion::report_external("warm_sweep/warm_materialize_calls", warm_calls as f64, 1);
     criterion::report_external("warm_sweep/discovery_call_ratio_x", call_ratio, 1);

@@ -9,8 +9,8 @@
 //! PP_E03_KS=40,50 PP_E03_SEEDS=8 exp_e03_convergence_k --quick
 //! ```
 //!
-//! The default full grid tops out at `k = 50`, where per-seed discovery
-//! runs through the color-orbit quotient (see `docs/architecture.md`).
+//! The default full grid tops out at `k = 50`; each `k` shares one
+//! transition table across its seeds (see `docs/architecture.md`).
 
 use pp_analysis::experiments::e03_convergence_k::{run, Params};
 

@@ -22,7 +22,7 @@
 
 use std::fmt;
 
-use pp_protocol::quotient::{CanonicalPair, StateQuotient};
+use pp_protocol::quotient::StateQuotient;
 
 use crate::braket::BraKet;
 use crate::color::Color;
@@ -192,15 +192,14 @@ impl CirclesState {
 }
 
 /// The rotation quotient of the Circles state space: the group `Z_k`
-/// acting by `x ↦ (x + g) mod k` on all three colors of a state, plus the
-/// initiator/responder swap fold (sound because the Circles transition is
-/// symmetric).
+/// acting by `x ↦ (x + g) mod k` on all three colors of a state.
 ///
 /// Canonical representatives are the states with `bra = 0` (`k²` of the
-/// `k³` states), and a canonical *pair* additionally picks the
-/// lexicographically smaller of the two swap orientations — so full-table
-/// discovery classifies `~k⁵/2` representative pairs instead of the
-/// symmetric memo's `~k⁶/2`, an orbit factor of `k`.
+/// `k³` states). Full-table discovery
+/// ([`quotient_table`](pp_protocol::quotient_table)) classifies only their
+/// rows, folding the initiator/responder swap across earlier orbits (sound
+/// because the Circles transition is symmetric) — `~k⁵/2` representative
+/// pairs instead of the symmetric memo's `~k⁶/2`, an orbit factor of `k`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CirclesColorQuotient {
     k: u16,
@@ -243,33 +242,6 @@ impl StateQuotient<CirclesState> for CirclesColorQuotient {
         // recovers the original.
         let g = state.braket.bra.0 % self.k;
         (self.rot(self.k - g, state), u32::from(g))
-    }
-
-    fn canonical_pair(&self, a: &CirclesState, b: &CirclesState) -> CanonicalPair<CirclesState> {
-        let ga = a.braket.bra.0 % self.k;
-        let gb = b.braket.bra.0 % self.k;
-        // Two candidates put one partner's bra at color 0: the unswapped
-        // orientation rotates by the initiator's bra, the swapped one by
-        // the responder's (sound to fold because the Circles transition is
-        // symmetric). The lexicographic minimum is the orbit
-        // representative; ties keep the unswapped orientation.
-        let fwd = (self.rot(self.k - ga, a), self.rot(self.k - ga, b));
-        let rev = (self.rot(self.k - gb, b), self.rot(self.k - gb, a));
-        if rev < fwd {
-            CanonicalPair {
-                a: rev.0,
-                b: rev.1,
-                g: u32::from(gb),
-                swapped: true,
-            }
-        } else {
-            CanonicalPair {
-                a: fwd.0,
-                b: fwd.1,
-                g: u32::from(ga),
-                swapped: false,
-            }
-        }
     }
 }
 
@@ -393,36 +365,6 @@ mod tests {
                 reps.insert(canon);
             }
             assert_eq!(reps.len(), usize::from(k) * usize::from(k), "k² orbits");
-        }
-    }
-
-    #[test]
-    fn canonical_pair_contract() {
-        for k in 1..=4u16 {
-            let p = CirclesProtocol::new(k).unwrap();
-            let q = CirclesColorQuotient::new(k);
-            let states = p.states();
-            for a in &states {
-                for b in &states {
-                    let cp = q.canonical_pair(a, b);
-                    // Reconstruction: the recorded element and swap map the
-                    // canonical pair back onto the original.
-                    let (ra, rb) = if cp.swapped {
-                        (q.apply(cp.g, &cp.b), q.apply(cp.g, &cp.a))
-                    } else {
-                        (q.apply(cp.g, &cp.a), q.apply(cp.g, &cp.b))
-                    };
-                    assert_eq!((&ra, &rb), (a, b));
-                    // Orbit invariance: every pair of the orbit (rotations ×
-                    // swap) shares one canonical representative.
-                    for g in 0..u32::from(k) {
-                        let cg = q.canonical_pair(&q.apply(g, a), &q.apply(g, b));
-                        assert_eq!((&cg.a, &cg.b), (&cp.a, &cp.b));
-                        let cs = q.canonical_pair(&q.apply(g, b), &q.apply(g, a));
-                        assert_eq!((&cs.a, &cs.b), (&cp.a, &cp.b));
-                    }
-                }
-            }
         }
     }
 }

@@ -183,8 +183,9 @@ impl Protocol for CirclesProtocol {
 
     /// The rotation quotient `Z_k` (see
     /// [`CirclesColorQuotient`]): the cyclic weight function makes the
-    /// transition equivariant under rotating all colors, so discovery
-    /// classifies one canonical pair per rotation-and-swap orbit.
+    /// transition equivariant under rotating all colors, so full-table
+    /// builds and `.ppts` v2 stores classify one representative row per
+    /// rotation orbit.
     fn color_quotient(&self) -> Option<&dyn StateQuotient<CirclesState>> {
         Some(&self.quotient)
     }

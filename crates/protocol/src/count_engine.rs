@@ -37,7 +37,6 @@ use crate::config::CountConfig;
 use crate::count_trace::CountTrace;
 use crate::error::FrameworkError;
 use crate::protocol::Protocol;
-use crate::quotient::QuotientMemo;
 use crate::run_checkpoint::{CheckpointError, ResumableRng, RunCheckpoint};
 use crate::scheduler::{CountScheduler, CountView, UniformCountScheduler};
 use crate::simulation::{RunReport, SimStats};
@@ -105,14 +104,6 @@ pub struct CountEngine<'p, P: Protocol, CS = UniformCountScheduler, A = SparseAc
     /// warm snapshot), so exports back to the source table merge `O(new)`
     /// entries instead of re-proposing the whole memo.
     new_outcomes: Vec<((u32, u32), (u32, u32))>,
-    /// The canonical-pair memo backing quotient discovery, present exactly
-    /// when the protocol exposes a
-    /// [`color_quotient`](Protocol::color_quotient). Classifications and
-    /// outcome resolutions route through it — one protocol transition call
-    /// per orbit — but slot numbering, memo bookkeeping and trajectories
-    /// are bit-identical to the memo-only path (the answers are equal by
-    /// equivariance; only who computes them changes).
-    quotient: Option<QuotientMemo<'p, P::State>>,
     /// The warm-start oracle: a snapshot of a [`TransitionTable`] plus the
     /// engine↔table id maps, present only on warm engines. Slot numbering
     /// never depends on it — it only replaces protocol calls with lookups,
@@ -298,7 +289,6 @@ where
             symmetric,
             outcomes: HashMap::with_hasher(FxBuildHasher::default()),
             new_outcomes: Vec::new(),
-            quotient: protocol.color_quotient().map(QuotientMemo::new),
             warm: None,
         }
     }
@@ -665,18 +655,7 @@ where
             }
             (ai, bi)
         } else {
-            // Quotient-resolved outcomes are recorded exactly like direct
-            // protocol discoveries (memo + `new_outcomes`), so exported
-            // tables are bit-identical to memo-only discovery.
-            let protocol = self.protocol;
-            let (a, b) = match &mut self.quotient {
-                Some(q) => q.resolve(
-                    |x, y| protocol.transition(x, y),
-                    &self.states[i],
-                    &self.states[j],
-                ),
-                None => protocol.transition(&self.states[i], &self.states[j]),
-            };
+            let (a, b) = self.protocol.transition(&self.states[i], &self.states[j]);
             debug_assert!(
                 a != self.states[i] || b != self.states[j],
                 "apply called on a null pair"
@@ -764,13 +743,7 @@ where
                 // states from the snapshot rows, plus novel slots
                 // classified through the protocol. Sorted ascending so the
                 // activity index receives them in canonical slot order.
-                let protocol = self.protocol;
                 let states = &self.states;
-                let quotient = &mut self.quotient;
-                let mut is_null = |x: &P::State, y: &P::State| match quotient.as_mut() {
-                    Some(q) => q.is_null(|a, b| protocol.transition(a, b), x, y),
-                    None => protocol.is_null_interaction(x, y),
-                };
                 let slot_of_tid = &warm.slot_of_tid;
                 warm.out_buf.clear();
                 warm.in_buf.clear();
@@ -798,13 +771,13 @@ where
                 }
                 for &e in &warm.novel {
                     let (s_new, s_old) = (&states[idx], &states[e as usize]);
-                    if !is_null(s_new, s_old) {
+                    if !self.protocol.is_null_interaction(s_new, s_old) {
                         warm.out_buf.push(e);
                     }
                     let mirrored = if self.symmetric {
                         warm.out_buf.last() == Some(&e)
                     } else {
-                        !is_null(s_old, s_new)
+                        !self.protocol.is_null_interaction(s_old, s_new)
                     };
                     if mirrored {
                         warm.in_buf.push(e);
@@ -822,16 +795,7 @@ where
         }
         let protocol = self.protocol;
         let states = &self.states;
-        let quotient = &mut self.quotient;
-        // With a quotient, each query resolves through the canonical-pair
-        // memo: the protocol's transition runs once per orbit instead of
-        // once per (unordered) pair. The classification — and therefore
-        // the activity index and every downstream trajectory — is
-        // unchanged.
-        let active = |r: usize, c: usize| match quotient.as_mut() {
-            Some(q) => !q.is_null(|x, y| protocol.transition(x, y), &states[r], &states[c]),
-            None => !protocol.is_null_interaction(&states[r], &states[c]),
-        };
+        let active = |r: usize, c: usize| !protocol.is_null_interaction(&states[r], &states[c]);
         if self.symmetric {
             self.activity.add_slot_symmetric(&self.counts, active);
         } else {
@@ -1099,14 +1063,6 @@ where
             .collect();
         let mut out_buf: Vec<u32> = Vec::new();
         let mut in_buf: Vec<u32> = Vec::new();
-        // Publication runs with `&self`, so quotient resolution here reads
-        // the memo without recording; misses classify the canonical
-        // representative through the protocol directly.
-        let protocol = self.protocol;
-        let is_null = |x: &P::State, y: &P::State| match &self.quotient {
-            Some(q) => q.is_null_readonly(|a, b| protocol.transition(a, b), x, y),
-            None => protocol.is_null_interaction(x, y),
-        };
         for (r, &slot) in novel.iter().enumerate() {
             let u = slot as usize;
             out_buf.clear();
@@ -1116,13 +1072,13 @@ where
             let su = &self.states[u];
             for &g in &unknown {
                 let sv = tip.state(g);
-                if !is_null(su, sv) {
+                if !self.protocol.is_null_interaction(su, sv) {
                     out_buf.push(g);
                 }
                 let mirrored = if self.symmetric {
                     out_buf.last() == Some(&g)
                 } else {
-                    !is_null(sv, su)
+                    !self.protocol.is_null_interaction(sv, su)
                 };
                 if mirrored {
                     in_buf.push(g);

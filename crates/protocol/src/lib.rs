@@ -104,7 +104,7 @@ pub use error::FrameworkError;
 pub use fenwick::Fenwick;
 pub use population::Population;
 pub use protocol::{EnumerableProtocol, Protocol};
-pub use quotient::{quotient_table, CanonicalPair, QuotientError, StateQuotient};
+pub use quotient::{quotient_table, QuotientError, StateQuotient};
 pub use run_checkpoint::{CheckpointError, CheckpointMeta, ResumableRng, RunCheckpoint};
 pub use scheduler::{
     CountScheduler, CountView, PairDraw, ReplayCountScheduler, Scheduler, UniformCountScheduler,

@@ -75,12 +75,17 @@ pub trait Protocol {
     /// function is equivariant (see [`StateQuotient`] for the exact
     /// contract), or `None` when the protocol has no usable quotient.
     ///
-    /// Protocols that return one let discovery classify a single canonical
-    /// representative per orbit of state pairs and expand the rest
-    /// mechanically — for Circles (invariant under rotations of its `k`
-    /// colors) this cuts full-table discovery from `O(k⁶)` to `O(k⁵)`
-    /// transition calls. The engine's `add_slot_symmetric` memo remains
-    /// the fallback for protocols without one.
+    /// Protocols that return one let bulk full-table builds
+    /// ([`quotient_table`](crate::quotient_table)) and the `.ppts` v2
+    /// store classify a single canonical representative per orbit and
+    /// expand the rest mechanically — for Circles (invariant under
+    /// rotations of its `k` colors) this cuts full-table discovery from
+    /// `O(k⁶)` to `O(k⁵)` transition calls.
+    /// [`CountEngine`](crate::CountEngine) discovery ignores it and
+    /// classifies pairs through [`transition`](Protocol::transition)
+    /// directly (one call per unordered pair for symmetric protocols): for
+    /// Circles a transition call is cheaper than canonicalizing the pair
+    /// and probing a memo.
     ///
     /// Defaults to `None`. The flag `color_quotient().is_some()` is folded
     /// into the identity fingerprint of persisted stores alongside

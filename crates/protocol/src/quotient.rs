@@ -1,5 +1,5 @@
-//! Symmetry quotients of a protocol's state space, and the machinery that
-//! lets discovery classify one canonical representative per orbit instead
+//! Symmetry quotients of a protocol's state space, and the bulk table
+//! builder that classifies one canonical representative per orbit instead
 //! of every concrete state pair.
 //!
 //! A [`StateQuotient`] names a finite group acting on the protocol's
@@ -7,24 +7,18 @@
 //! group element to both interaction partners commutes with the
 //! transition. Protocols advertise their quotient through
 //! [`Protocol::color_quotient`](crate::Protocol::color_quotient) (the
-//! Circles rotation quotient lives in `circles_core`); the discovery
-//! paths then consult it in two ways:
+//! Circles rotation quotient lives in `circles_core`), and the quotient is
+//! used in one way: **in bulk** ([`quotient_table`]). Full-table discovery
+//! classifies the rows of the `|S| / |G|` canonical representatives through
+//! the protocol and expands every other row mechanically through the group
+//! action — zero further protocol calls. This is what makes Circles
+//! `k = 50` (125 000 states, ~10¹⁰ ordered pairs) buildable in seconds,
+//! and it is the in-memory half of the `.ppts` v2 store format (see
+//! [`transition_store`](crate::transition_store)).
 //!
-//! - **Lazily** (`QuotientMemo`): [`CountEngine`](crate::CountEngine)
-//!   routes every pair classification and outcome resolution through a
-//!   memo keyed by *canonical pair*, so the protocol's transition function
-//!   runs once per orbit and every other member of the orbit is
-//!   reconstructed by applying the recorded group element. Slot
-//!   materialization order — and therefore every `RunReport` — is
-//!   untouched: only *who answers* a classification changes, never the
-//!   answer.
-//! - **In bulk** ([`quotient_table`]): full-table discovery classifies the
-//!   rows of the `|S| / |G|` canonical representatives through the
-//!   protocol and expands every other row mechanically through the group
-//!   action — zero further protocol calls. This is what makes Circles
-//!   `k = 50` (125 000 states, ~10¹⁰ ordered pairs) buildable in seconds,
-//!   and it is the in-memory half of the `.ppts` v2 store format (see
-//!   [`transition_store`](crate::transition_store)).
+//! [`CountEngine`](crate::CountEngine) discovery does not consult the
+//! quotient: for Circles, one transition call is a few color comparisons,
+//! which is cheaper than canonicalizing the pair and probing a memo.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -36,26 +30,6 @@ use crate::hashing::FxBuildHasher;
 use crate::protocol::EnumerableProtocol;
 use crate::transition_table::TransitionTable;
 
-/// The canonical representative of an ordered state pair's orbit, plus the
-/// data to reconstruct the original pair: `(a, b)` is the representative,
-/// and the original pair is `(apply(g, a), apply(g, b))` — the two swapped
-/// when `swapped` is set.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CanonicalPair<S> {
-    /// Canonical initiator.
-    pub a: S,
-    /// Canonical responder.
-    pub b: S,
-    /// Group element mapping the canonical pair back onto the original.
-    pub g: u32,
-    /// Whether the original pair is the *swap* of `(apply(g, a),
-    /// apply(g, b))`. Implementations may only set this for protocols
-    /// whose transition is symmetric
-    /// ([`Protocol::is_symmetric`](crate::Protocol::is_symmetric)), where
-    /// the outcome of the swapped pair is the swapped outcome.
-    pub swapped: bool,
-}
-
 /// A finite group action on a protocol's states under which the transition
 /// function is equivariant.
 ///
@@ -66,16 +40,15 @@ pub struct CanonicalPair<S> {
 ///   set;
 /// - **equivariance**: `transition(apply(g, a), apply(g, b)) ==
 ///   (apply(g, x), apply(g, y))` where `(x, y) = transition(a, b)`;
-/// - [`canonical_state`](Self::canonical_state) and
-///   [`canonical_pair`](Self::canonical_pair) are constant on orbits and
-///   return an element of the orbit together with the group element
+/// - [`canonical_state`](Self::canonical_state) is constant on orbits and
+///   returns an element of the orbit together with the group element
 ///   mapping it back onto the argument.
 ///
-/// Everything the engine and the store do with a quotient — memoized
-/// classification, orbit expansion, the v2 store format — is correct
-/// exactly when this contract holds; `circles_core` verifies it
-/// exhaustively for small `k` and the property suite cross-checks
-/// quotient-discovered tables against brute force.
+/// Everything the bulk builder and the store do with a quotient — orbit
+/// expansion, the v2 store format — is correct exactly when this contract
+/// holds; `circles_core` verifies it exhaustively for small `k` and the
+/// property suite cross-checks quotient-discovered tables against brute
+/// force.
 pub trait StateQuotient<S> {
     /// Number of group elements (the rotation count `k` for Circles).
     fn group_order(&self) -> u32;
@@ -86,117 +59,6 @@ pub trait StateQuotient<S> {
     /// The canonical representative of `state`'s orbit, and the element
     /// `g` with `apply(g, canonical) == *state`.
     fn canonical_state(&self, state: &S) -> (S, u32);
-
-    /// The canonical representative of the ordered pair's orbit (folding
-    /// the initiator/responder swap when the protocol is symmetric); see
-    /// [`CanonicalPair`] for the reconstruction contract.
-    fn canonical_pair(&self, a: &S, b: &S) -> CanonicalPair<S>;
-}
-
-/// Memo entries above this cap are recomputed instead of stored, bounding
-/// memory on adversarial state spaces. A full Circles `k = 30` enumeration
-/// holds ~12.2 M canonical pairs, comfortably below the cap — correctness
-/// never depends on a hit, only the measured call ratio does.
-const QUOTIENT_MEMO_CAP: usize = 1 << 24;
-
-/// The lazy canonical-pair memo a [`CountEngine`](crate::CountEngine)
-/// carries when its protocol exposes a quotient: canonical pair →
-/// canonical outcome. One protocol transition call per orbit; every
-/// concrete pair of the orbit resolves by hash lookup plus one group
-/// application per returned state.
-pub(crate) struct QuotientMemo<'p, S> {
-    quotient: &'p dyn StateQuotient<S>,
-    memo: HashMap<(S, S), (S, S), FxBuildHasher>,
-}
-
-impl<'p, S: Clone + Eq + Hash> QuotientMemo<'p, S> {
-    pub(crate) fn new(quotient: &'p dyn StateQuotient<S>) -> Self {
-        QuotientMemo {
-            quotient,
-            memo: HashMap::with_hasher(FxBuildHasher::default()),
-        }
-    }
-
-    /// The canonical outcome of canonical pair `(a, b)`, from the memo or
-    /// (on a miss) from one protocol transition call.
-    fn canonical_outcome(
-        &mut self,
-        transition: impl FnOnce(&S, &S) -> (S, S),
-        a: S,
-        b: S,
-    ) -> (S, S) {
-        if let Some(out) = self.memo.get(&(a.clone(), b.clone())) {
-            return out.clone();
-        }
-        let out = transition(&a, &b);
-        if self.memo.len() < QUOTIENT_MEMO_CAP {
-            self.memo.insert((a, b), out.clone());
-        }
-        out
-    }
-
-    /// The transition of concrete pair `(a, b)`, resolved through the
-    /// orbit representative. Agrees exactly with `transition(a, b)` by
-    /// equivariance.
-    pub(crate) fn resolve(
-        &mut self,
-        transition: impl FnOnce(&S, &S) -> (S, S),
-        a: &S,
-        b: &S,
-    ) -> (S, S) {
-        let cp = self.quotient.canonical_pair(a, b);
-        let g = cp.g;
-        let swapped = cp.swapped;
-        let (oa, ob) = self.canonical_outcome(transition, cp.a, cp.b);
-        if swapped {
-            (self.quotient.apply(g, &ob), self.quotient.apply(g, &oa))
-        } else {
-            (self.quotient.apply(g, &oa), self.quotient.apply(g, &ob))
-        }
-    }
-
-    /// Whether concrete pair `(a, b)` is a null interaction — a pair is
-    /// null iff its canonical representative is, so no group application
-    /// is needed on the way back.
-    pub(crate) fn is_null(
-        &mut self,
-        transition: impl FnOnce(&S, &S) -> (S, S),
-        a: &S,
-        b: &S,
-    ) -> bool {
-        let cp = self.quotient.canonical_pair(a, b);
-        let key = (cp.a, cp.b);
-        let (oa, ob) = self.canonical_outcome(transition, key.0.clone(), key.1.clone());
-        (oa, ob) == key
-    }
-
-    /// Read-only variant of [`is_null`](Self::is_null) for `&self`
-    /// contexts (segment publication): memo hits answer for free, misses
-    /// classify the representative through the protocol without recording.
-    pub(crate) fn is_null_readonly(
-        &self,
-        transition: impl FnOnce(&S, &S) -> (S, S),
-        a: &S,
-        b: &S,
-    ) -> bool {
-        let cp = self.quotient.canonical_pair(a, b);
-        let key = (cp.a, cp.b);
-        match self.memo.get(&key) {
-            Some(out) => *out == key,
-            None => {
-                let out = transition(&key.0, &key.1);
-                out == key
-            }
-        }
-    }
-}
-
-impl<S: fmt::Debug> fmt::Debug for QuotientMemo<'_, S> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("QuotientMemo")
-            .field("entries", &self.memo.len())
-            .finish_non_exhaustive()
-    }
 }
 
 /// Failures of [`quotient_table`].
@@ -563,27 +425,6 @@ mod tests {
         fn canonical_state(&self, state: &u8) -> (u8, u32) {
             (0, u32::from(*state))
         }
-
-        fn canonical_pair(&self, a: &u8, b: &u8) -> CanonicalPair<u8> {
-            let m = u32::from(self.m);
-            let fwd = (0u8, ((u32::from(*b) + m - u32::from(*a)) % m) as u8);
-            let rev = (0u8, ((u32::from(*a) + m - u32::from(*b)) % m) as u8);
-            if rev < fwd {
-                CanonicalPair {
-                    a: rev.0,
-                    b: rev.1,
-                    g: u32::from(*b),
-                    swapped: true,
-                }
-            } else {
-                CanonicalPair {
-                    a: fwd.0,
-                    b: fwd.1,
-                    g: u32::from(*a),
-                    swapped: false,
-                }
-            }
-        }
     }
 
     impl Protocol for RotMod {
@@ -643,30 +484,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn memo_resolves_like_the_protocol() {
-        let p = RotMod::new(6);
-        let mut memo = QuotientMemo::new(p.color_quotient().unwrap());
-        for a in 0..6u8 {
-            for b in 0..6u8 {
-                let expect = p.transition(&a, &b);
-                let got = memo.resolve(|x, y| p.transition(x, y), &a, &b);
-                assert_eq!(got, expect, "resolve disagrees at ({a}, {b})");
-                assert_eq!(
-                    memo.is_null(|x, y| p.transition(x, y), &a, &b),
-                    p.is_null_interaction(&a, &b)
-                );
-                assert_eq!(
-                    memo.is_null_readonly(|x, y| p.transition(x, y), &a, &b),
-                    p.is_null_interaction(&a, &b)
-                );
-            }
-        }
-        // 6 states → 36 ordered pairs, but at most 6 canonical keys (the
-        // cyclic difference), swap-folded down to 4.
-        assert!(memo.memo.len() <= 4, "memo holds {} keys", memo.memo.len());
     }
 
     #[test]
