@@ -16,9 +16,10 @@
 //!    **asserted to be ≥ 50×**, so a count-engine regression fails the CI
 //!    bench-smoke job instead of drifting silently.
 //! 4. `slot_scaling` — the sparse *activity index*'s per-change-point cost
-//!    at `k = 30` (slot tables ≥ 10^4): the engine is primed with the
-//!    discovered state set so the one-time `O(slots²)` transition discovery
-//!    stays out of the measurement, then runs to silence.
+//!    at `k = 30` (slot tables ≥ 10^4) and at `k = 10` (~830 slots, dense
+//!    activity): the engine is primed with the discovered state set so the
+//!    one-time `O(slots²)` transition discovery stays out of the
+//!    measurement, then runs to silence.
 //! 5. `large_n` — a one-shot Circles run at `n = 10^9` (count-level margin
 //!    workload, no input vector materialized) that must complete to
 //!    silence with the correct winner — the population scale the former
@@ -160,11 +161,12 @@ fn bench_speedup_check(c: &mut Criterion) {
     let _ = c; // one-shot measurement; no criterion sampling needed
 }
 
-/// Sparse activity index at `k = 30`: per-change-point cost on a slot table
-/// past 10^4, with discovery primed out of the measurement.
-fn bench_slot_scaling(c: &mut Criterion) {
-    let k = 30u16;
-    let n = 12_000usize;
+/// Per-change-point cost of the sparse activity index on a margin
+/// workload, with discovery primed out of the measurement: a scout run
+/// discovers the slot table the workload visits, and a fresh engine primed
+/// with that state set runs to silence on the same seed. Returns the slot
+/// count, the change-points and the nanoseconds per change-point.
+fn primed_per_change_ns(k: u16, n: usize) -> (usize, u64, f64) {
     let protocol = CirclesProtocol::new(k).unwrap();
     let inputs = margin_workload(n, k, n / 10);
     let config: CountConfig<CirclesState> = inputs
@@ -172,33 +174,60 @@ fn bench_slot_scaling(c: &mut Criterion) {
         .map(|i| pp_protocol::Protocol::input(&protocol, i))
         .collect();
 
-    // Scout run: discover the slot table this workload actually visits.
     let mut scout = CountEngine::from_config(&protocol, config.clone(), 7);
     let scout_report = scout.run_until_silent(u64::MAX / 2).unwrap();
     let states: Vec<CirclesState> = scout.known_states().to_vec();
-    let slots = states.len();
-    assert!(
-        slots >= 10_000,
-        "slot-scaling workload must exercise >= 10^4 slots, got {slots}"
-    );
     assert_eq!(scout_report.consensus, Some(true_winner(&inputs, k)));
 
-    // Primed with the discovered state set, so run time is pure
-    // steady-state per-change-point cost.
     let mut engine = CountEngine::from_config(&protocol, config, 7);
     engine.prime_states(states.iter().cloned());
     let start = Instant::now();
     let report = engine.run_until_silent(u64::MAX / 2).unwrap();
-    let sparse_ns = start.elapsed().as_nanos() as f64;
-    let changes = report.state_changes as f64;
-    let sparse_per_cp = sparse_ns / changes;
-    criterion::report_external("slot_scaling/slots", slots as f64, 1);
-    criterion::report_external("slot_scaling/sparse_per_change_ns", sparse_per_cp, 1);
-    println!(
-        "slot_scaling: k={k} n={n} slots={slots}, {changes:.0} change-points; \
-         sparse {sparse_per_cp:.0}ns per change-point"
+    let ns = start.elapsed().as_nanos() as f64;
+    (
+        states.len(),
+        report.state_changes,
+        ns / report.state_changes as f64,
+    )
+}
+
+/// Sparse activity index, primed: per-change-point cost on a slot table
+/// past 10^4 (`k = 30`, sparse activity) and in the dense regime (`k = 10`,
+/// ~830 slots with ~40% of ordered slot pairs active), where settlement
+/// and row walks are the cost.
+fn bench_slot_scaling(c: &mut Criterion) {
+    let (k, n) = (30u16, 12_000usize);
+    let (slots, changes, per_change) = primed_per_change_ns(k, n);
+    assert!(
+        slots >= 10_000,
+        "slot-scaling workload must exercise >= 10^4 slots, got {slots}"
     );
-    let _ = c; // one-shot measurement; no criterion sampling needed
+    criterion::report_external("slot_scaling/slots", slots as f64, 1);
+    criterion::report_external("slot_scaling/sparse_per_change_ns", per_change, 1);
+    println!(
+        "slot_scaling: k={k} n={n} slots={slots}, {changes} change-points; \
+         sparse {per_change:.0}ns per change-point"
+    );
+
+    let (k, n) = (
+        10u16,
+        if criterion::quick_mode() {
+            30_000
+        } else {
+            100_000
+        },
+    );
+    let (slots, changes, per_change) = primed_per_change_ns(k, n);
+    assert!(
+        slots > 3 * 64,
+        "dense workload must span several 64-row blocks, got {slots} slots"
+    );
+    criterion::report_external("slot_scaling/k10_per_change_ns", per_change, 1);
+    println!(
+        "slot_scaling: k={k} n={n} slots={slots}, {changes} change-points; \
+         sparse {per_change:.0}ns per change-point"
+    );
+    let _ = c; // one-shot measurements; no criterion sampling needed
 }
 
 /// One-shot `n = 10^9` Circles run to silence — the population scale the

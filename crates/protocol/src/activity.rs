@@ -10,9 +10,10 @@
 //!   out-/in-neighbors stored as plain sorted `u32` vectors ([`VecAdj`]),
 //!   discovered lazily as states appear. A count change at slot `t` touches
 //!   only the rows active into `t` (`O(deg)` instead of `O(slots)`), changed
-//!   rows are collected in a dirty set and settled once per change-point,
-//!   and conditional pair draws go through a [`Fenwick`] tree over
-//!   `row_mass` in `O(log slots + deg)`.
+//!   rows are collected in a dirty set and settled once per change-point in
+//!   `O(dirty)`: each row's mass delta reaches its 64-row block sum and the
+//!   total. A conditional pair draw scans the block sums, then the rows of
+//!   one block, then one out-row: `O(slots/64 + 64 + deg)`.
 //! - [`CompactActivity`]: the same incremental index over a compressed row
 //!   store ([`CompactAdj`]) — blocked bitsets for dense rows,
 //!   delta-compressed LEB128 lists for sparse rows, chosen per row by
@@ -36,8 +37,6 @@
 //!
 //! All pair-weight arithmetic is `u128`, so populations are no longer capped
 //! at `u32::MAX` agents (the engine accepts up to `2^63 − 1`).
-
-use crate::fenwick::Fenwick;
 
 /// Read-only sampling interface over an activity index, used by
 /// [`CountView`](crate::CountView) to answer scheduler queries without
@@ -132,7 +131,9 @@ pub trait Activity: PairSampling + Default {
     fn count_changed(&mut self, slot: usize, delta: i64);
 
     /// Recomputes the row masses of every row dirtied since the last call
-    /// and restores the `mass`/`row_mass`/sampling invariants.
+    /// and restores the `mass`/`row_mass`/sampling invariants. The bundled
+    /// indexes pay `O(dirty)`: each dirty row's mass delta reaches its row,
+    /// its 64-row block sum and the total.
     fn settle(&mut self, counts: &[u64]);
 
     /// Total weight of active ordered pairs; zero iff the configuration is
@@ -697,11 +698,10 @@ impl AdjStore for CompactAdj {
     }
 }
 
-/// Slot count below which conditional sampling scans `row_mass` linearly
-/// instead of maintaining the Fenwick tree — at a handful of slots the
-/// sequential scan is faster than tree upkeep, which keeps the small-k
-/// path lean.
-const FENWICK_MIN_SLOTS: usize = 64;
+/// Rows per block of the sampling index: [`AdjActivity`] keeps one mass
+/// sum per block, so a draw scans `slots / BLOCK` block sums and then at
+/// most `BLOCK` row masses.
+const BLOCK: usize = 64;
 
 /// Adjacency-list activity index generic over its row storage — see the
 /// [module docs](self). [`SparseActivity`] and [`CompactActivity`] are the
@@ -714,18 +714,18 @@ pub struct AdjActivity<R: AdjStore> {
     /// `col_in[i] = Σ_j active(i, j) · c_j`.
     col_in: Vec<u64>,
     row_mass: Vec<u128>,
-    fenwick: Fenwick,
+    /// `block_mass[b] = Σ row_mass[r]` over the rows `r / BLOCK == b`.
+    block_mass: Vec<u128>,
     mass: u128,
-    /// Rows whose mass is stale, awaiting [`Activity::settle`].
+    /// `dirty[..dirty_len]` lists the rows whose mass is stale, awaiting
+    /// [`Activity::settle`]. Sized `slots + 1`: at most `slots` distinct
+    /// rows queue per epoch, and [`count_changed`](Activity::count_changed)
+    /// writes one entry past the queue unconditionally.
     dirty: Vec<u32>,
+    dirty_len: usize,
     /// `stamp[r] == epoch` iff row `r` is already queued in `dirty`.
     stamp: Vec<u64>,
     epoch: u64,
-    /// Whether the Fenwick tree is live. Below
-    /// [`FENWICK_MIN_SLOTS`] a linear row scan beats the tree's
-    /// maintenance cost, so the tree stays empty until the slot count
-    /// crosses the threshold (it never goes back).
-    use_fenwick: bool,
 }
 
 /// Sparse per-slot adjacency activity index over plain sorted vectors —
@@ -743,16 +743,58 @@ impl<R: AdjStore> Default for AdjActivity<R> {
             diag: Vec::new(),
             col_in: Vec::new(),
             row_mass: Vec::new(),
-            fenwick: Fenwick::new(),
+            block_mass: Vec::new(),
             mass: 0,
-            dirty: Vec::new(),
+            dirty: vec![0],
+            dirty_len: 0,
             stamp: Vec::new(),
             // Stamps start at zero, so the live epoch must not: a fresh row
             // would otherwise read as already-queued and never get dirtied.
             epoch: 1,
-            use_fenwick: false,
         }
     }
+}
+
+impl<R: AdjStore> AdjActivity<R> {
+    /// Registers the next slot's scalar state — zero mass, not queued —
+    /// opening a new block every [`BLOCK`] rows. Returns the new slot id.
+    fn push_row(&mut self, diag: bool) -> usize {
+        let id = self.adj.slots();
+        assert!(id < u32::MAX as usize, "slot ids exceed u32");
+        self.adj.push_slot();
+        self.diag.push(diag);
+        self.col_in.push(0);
+        self.row_mass.push(0);
+        if id.is_multiple_of(BLOCK) {
+            self.block_mass.push(0);
+        }
+        self.dirty.push(0);
+        self.stamp.push(0);
+        id
+    }
+}
+
+/// Queues row `r` unless this epoch already has it: the entry is always
+/// written, and the queue length grows only for a first visit — no branch
+/// for the predictor to miss on a dense in-row walk.
+#[inline]
+fn mark_dirty(dirty: &mut [u32], len: &mut usize, stamp: &mut [u64], epoch: u64, r: usize) {
+    dirty[*len] = r as u32;
+    *len += usize::from(stamp[r] != epoch);
+    stamp[r] = epoch;
+}
+
+/// Index of the entry holding the `rem`-th unit of `masses`' running
+/// total, with `rem` reduced to the offset inside that entry.
+#[inline]
+fn find_unit(masses: &[u128], rem: &mut u128) -> Option<usize> {
+    masses.iter().position(|&m| {
+        if *rem < m {
+            return true;
+        }
+        *rem -= m;
+        false
+    })
 }
 
 impl<R: AdjStore> PairSampling for AdjActivity<R> {
@@ -761,24 +803,15 @@ impl<R: AdjStore> PairSampling for AdjActivity<R> {
     }
 
     fn sample_change(&self, r: u128, counts: &[u64]) -> (usize, usize) {
-        debug_assert!(self.dirty.is_empty(), "sampling from an unsettled index");
-        let (i, mut rem) = if self.use_fenwick {
-            self.fenwick.find(r)
-        } else {
-            // Few slots: a sequential scan is cheaper than the tree. Same
-            // row order as the tree search, so draws agree bit-for-bit.
-            let mut rem = r;
-            let mut row = usize::MAX;
-            for (i, &m) in self.row_mass.iter().enumerate() {
-                if rem < m {
-                    row = i;
-                    break;
-                }
-                rem -= m;
-            }
-            assert!(row != usize::MAX, "sampling walked past the total mass");
-            (row, rem)
-        };
+        debug_assert_eq!(self.dirty_len, 0, "sampling from an unsettled index");
+        // Blocks, then the rows of one block, then the out-row: the same
+        // (initiator, responder) order as one flat walk over every pair.
+        let mut rem = r;
+        let block =
+            find_unit(&self.block_mass, &mut rem).expect("sampling walked past the total mass");
+        let start = block * BLOCK;
+        let rows = &self.row_mass[start..self.row_mass.len().min(start + BLOCK)];
+        let i = start + find_unit(rows, &mut rem).expect("block mass out of sync with row masses");
         let ci = u128::from(counts[i]);
         let mut found = usize::MAX;
         self.adj.walk_out(i, |j| {
@@ -800,21 +833,9 @@ impl<R: AdjStore> PairSampling for AdjActivity<R> {
 
 impl<R: AdjStore> Activity for AdjActivity<R> {
     fn add_slot(&mut self, counts: &[u64], mut active: impl FnMut(usize, usize) -> bool) {
-        let id = self.adj.slots();
+        let id = self.push_row(false);
         debug_assert_eq!(counts.len(), id + 1, "counts not extended for new slot");
         debug_assert_eq!(counts[id], 0, "new slot must hold zero agents");
-        assert!(id < u32::MAX as usize, "slot ids exceed u32");
-        self.adj.push_slot();
-        self.diag.push(false);
-        self.col_in.push(0);
-        self.row_mass.push(0);
-        self.stamp.push(0);
-        if self.use_fenwick {
-            self.fenwick.push(0);
-        } else if self.row_mass.len() >= FENWICK_MIN_SLOTS {
-            self.use_fenwick = true;
-            self.fenwick.rebuild(&self.row_mass);
-        }
         for j in 0..id {
             if active(id, j) {
                 self.adj.add_pair(id, j);
@@ -842,21 +863,9 @@ impl<R: AdjStore> Activity for AdjActivity<R> {
     }
 
     fn add_slot_from_lists(&mut self, counts: &[u64], out: &[u32], ins: &[u32], diag: bool) {
-        let id = self.adj.slots();
+        let id = self.push_row(diag);
         debug_assert_eq!(counts.len(), id + 1, "counts not extended for new slot");
         debug_assert_eq!(counts[id], 0, "new slot must hold zero agents");
-        assert!(id < u32::MAX as usize, "slot ids exceed u32");
-        self.adj.push_slot();
-        self.diag.push(diag);
-        self.col_in.push(0);
-        self.row_mass.push(0);
-        self.stamp.push(0);
-        if self.use_fenwick {
-            self.fenwick.push(0);
-        } else if self.row_mass.len() >= FENWICK_MIN_SLOTS {
-            self.use_fenwick = true;
-            self.fenwick.rebuild(&self.row_mass);
-        }
         // Out-row first (responders ascending), then the in-column
         // (initiators ascending), then the diagonal — every row receives
         // its appends in ascending id order, as add_pair requires.
@@ -877,61 +886,63 @@ impl<R: AdjStore> Activity for AdjActivity<R> {
         self.col_in[id] = out.iter().map(|&j| counts[j as usize]).sum();
     }
 
+    // Out of line: the engine calls this up to four times per change-point,
+    // and four inlined copies made small-slot runs (k = 3) measurably slower.
+    #[inline(never)]
     fn count_changed(&mut self, slot: usize, delta: i64) {
         let epoch = self.epoch;
-        {
-            let col_in = &mut self.col_in;
-            let stamp = &mut self.stamp;
-            let dirty = &mut self.dirty;
-            self.adj.walk_in(slot, |r| {
-                col_in[r] = col_in[r]
-                    .checked_add_signed(delta)
-                    .expect("col_in underflow");
-                if stamp[r] != epoch {
-                    stamp[r] = epoch;
-                    dirty.push(r as u32);
-                }
-                true
-            });
-        }
+        let col_in = &mut self.col_in[..];
+        let dirty = &mut self.dirty[..];
+        let stamp = &mut self.stamp[..];
+        // A local queue length stays in a register across the walk.
+        let mut len = self.dirty_len;
+        self.adj.walk_in(slot, |r| {
+            col_in[r] = col_in[r]
+                .checked_add_signed(delta)
+                .expect("col_in underflow");
+            mark_dirty(dirty, &mut len, stamp, epoch, r);
+            true
+        });
         // The slot's own row mass scales with its count even when no active
         // pair points into it.
-        if self.stamp[slot] != epoch {
-            self.stamp[slot] = epoch;
-            self.dirty.push(slot as u32);
-        }
+        mark_dirty(dirty, &mut len, stamp, epoch, slot);
+        self.dirty_len = len;
     }
 
     fn settle(&mut self, counts: &[u64]) {
         self.epoch += 1;
-        if self.dirty.is_empty() {
+        let dirty = &self.dirty[..self.dirty_len];
+        let Some(&first) = dirty.first() else {
             return;
-        }
-        let slots = self.row_mass.len();
-        // Point updates cost O(log slots) each; past this threshold one
-        // sequential rebuild of the whole tree is cheaper. Below the
-        // Fenwick threshold there is no tree to maintain at all.
-        let log2 = usize::BITS - slots.leading_zeros();
-        let rebuild = self.use_fenwick && self.dirty.len() * (log2 as usize) >= slots;
-        let point_update = self.use_fenwick && !rebuild;
-        for &r32 in &self.dirty {
+        };
+        // In-row walks ascend, so dirty rows arrive in runs that share a
+        // block: each run's gains and losses accumulate in registers and
+        // reach its block sum and the total once. Adding before subtracting
+        // keeps the signed delta branch-free; every sum is at most
+        // n(n − 1) < 2^126, so the adds cannot wrap.
+        let mut mass = self.mass;
+        let mut block = first as usize / BLOCK;
+        let (mut gain, mut loss) = (0u128, 0u128);
+        for &r32 in dirty {
             let r = r32 as usize;
+            if r / BLOCK != block {
+                let sum = &mut self.block_mass[block];
+                *sum = (*sum + gain)
+                    .checked_sub(loss)
+                    .expect("block mass underflow");
+                mass = (mass + gain).checked_sub(loss).expect("mass underflow");
+                (block, gain, loss) = (r / BLOCK, 0, 0);
+            }
             let new = row_mass_of(counts[r], self.col_in[r], self.diag[r]);
-            let old = self.row_mass[r];
-            self.row_mass[r] = new;
-            if new >= old {
-                self.mass += new - old;
-            } else {
-                self.mass -= old - new;
-            }
-            if point_update {
-                self.fenwick.add(r, new as i128 - old as i128);
-            }
+            gain += new;
+            loss += std::mem::replace(&mut self.row_mass[r], new);
         }
-        if rebuild {
-            self.fenwick.rebuild(&self.row_mass);
-        }
-        self.dirty.clear();
+        let sum = &mut self.block_mass[block];
+        *sum = (*sum + gain)
+            .checked_sub(loss)
+            .expect("block mass underflow");
+        self.mass = (mass + gain).checked_sub(loss).expect("mass underflow");
+        self.dirty_len = 0;
     }
 
     fn mass(&self) -> u128 {
@@ -1075,33 +1086,47 @@ mod tests {
         assert_eq!(sparse.active_pairs(), compact.active_pairs());
     }
 
-    /// Past [`FENWICK_MIN_SLOTS`] draws go through the Fenwick tree, which
-    /// `settle` maintains two ways: point updates while few rows are dirty,
-    /// one full rebuild once `dirty · log₂ slots ≥ slots`. Growing from zero
-    /// to twice the threshold, every draw — linear scan, point-updated tree
-    /// and rebuilt tree alike — must land on the pair the brute-force walk
-    /// picks.
+    /// Asserts the block index's invariants: every block sum equals the
+    /// masses of its rows, and the total equals the block sums.
+    fn assert_blocks_consistent<R: AdjStore>(idx: &AdjActivity<R>, what: &str) {
+        assert_eq!(idx.block_mass.len(), idx.row_mass.len().div_ceil(BLOCK));
+        for (b, &m) in idx.block_mass.iter().enumerate() {
+            let rows = &idx.row_mass[b * BLOCK..((b + 1) * BLOCK).min(idx.row_mass.len())];
+            assert_eq!(m, rows.iter().sum::<u128>(), "{what}: block {b}");
+        }
+        assert_eq!(
+            idx.mass,
+            idx.block_mass.iter().sum::<u128>(),
+            "{what}: mass"
+        );
+    }
+
+    /// Growing from zero to more than three blocks, with a whole block that
+    /// never holds agents (zero-mass block) and every fifth slot empty
+    /// (zero-mass rows inside live blocks), every settle must leave the
+    /// block sums exact and every draw — at `r = 0`, at each block-boundary
+    /// prefix sum, at `mass − 1` and at random `r` — must land on the pair
+    /// the brute-force walk picks.
     #[test]
-    fn sampling_matches_bruteforce_across_fenwick_settle_modes() {
-        // In-degree ≈ slots / 17: a single count change dirties a handful
-        // of rows (point updates), a batch of changes dirties most of them
-        // (rebuild).
+    fn block_sampling_matches_bruteforce_across_blocks() {
         let active = |i: usize, j: usize| (i + 3 * j).is_multiple_of(17);
-        let target = 2 * FENWICK_MIN_SLOTS + 8;
+        let target = 3 * BLOCK + 8;
+        let holds_agents = |s: usize| s / BLOCK != 1 && !s.is_multiple_of(5);
         let mut rng = StdRng::seed_from_u64(21);
         let mut sparse = SparseActivity::default();
         let mut compact = CompactActivity::default();
         let mut counts: Vec<u64> = Vec::new();
-        let (mut point_settles, mut rebuild_settles) = (0u32, 0u32);
-        for round in 0..600 {
-            if counts.len() < target && round % 2 == 0 {
+        for round in 0..2 * target {
+            if counts.len() < target {
                 counts.push(0);
                 sparse.add_slot(&counts, active);
                 compact.add_slot(&counts, active);
             }
-            let batch = if round % 4 == 3 { counts.len() / 4 } else { 1 };
-            for _ in 0..batch {
-                let slot = rng.random_range(0..counts.len());
+            let eligible: Vec<usize> = (0..counts.len()).filter(|&s| holds_agents(s)).collect();
+            // Every fourth round batches several changes into one settle.
+            let batch = if round % 4 == 3 { 8 } else { 1 };
+            for _ in 0..batch.min(eligible.len()) {
+                let slot = eligible[rng.random_range(0..eligible.len())];
                 let delta: i64 = if counts[slot] == 0 {
                     2
                 } else {
@@ -1111,37 +1136,97 @@ mod tests {
                 sparse.count_changed(slot, delta);
                 compact.count_changed(slot, delta);
             }
-            if sparse.use_fenwick {
-                let log2 = (usize::BITS - counts.len().leading_zeros()) as usize;
-                if sparse.dirty.len() * log2 >= counts.len() {
-                    rebuild_settles += 1;
-                } else {
-                    point_settles += 1;
-                }
-            }
             sparse.settle(&counts);
             compact.settle(&counts);
+            let slots = counts.len();
+            assert_blocks_consistent(&sparse, &format!("sparse at {slots} slots"));
+            assert_blocks_consistent(&compact, &format!("compact at {slots} slots"));
 
             let mass = bruteforce_mass(active, &counts);
-            let slots = counts.len();
             assert_eq!(sparse.mass(), mass, "sparse mass at {slots} slots");
             assert_eq!(compact.mass(), mass, "compact mass at {slots} slots");
-            if mass > 0 {
-                let draws = [0, mass - 1]
-                    .into_iter()
-                    .chain((0..4).map(|_| rng.random_range(0..mass)));
-                for r in draws {
-                    let expected = bruteforce_sample(active, &counts, r);
-                    assert_eq!(sparse.sample_change(r, &counts), expected, "r = {r}");
-                    assert_eq!(compact.sample_change(r, &counts), expected, "r = {r}");
-                }
+            if mass == 0 {
+                continue;
+            }
+            let boundaries: Vec<u128> = sparse
+                .block_mass
+                .iter()
+                .scan(0u128, |prefix, &m| {
+                    let at = *prefix;
+                    *prefix += m;
+                    Some(at)
+                })
+                .filter(|&at| at < mass)
+                .collect();
+            let draws = [0, mass - 1]
+                .into_iter()
+                .chain(boundaries)
+                .chain((0..4).map(|_| rng.random_range(0..mass)));
+            for r in draws {
+                let expected = bruteforce_sample(active, &counts, r);
+                assert_eq!(sparse.sample_change(r, &counts), expected, "r = {r}");
+                assert_eq!(compact.sample_change(r, &counts), expected, "r = {r}");
             }
         }
-        assert_eq!(counts.len(), target, "grew to twice the threshold");
+        assert_eq!(counts.len(), target);
+        assert!(sparse.block_mass.len() > 3, "grew past three blocks");
+        assert_eq!(sparse.block_mass[1], 0, "block 1 stays a zero-mass block");
         assert!(
-            point_settles > 0 && rebuild_settles > 0,
-            "both settle modes exercised: {point_settles} point, {rebuild_settles} rebuild"
+            (0..target).any(|s| sparse.row_mass[s] == 0 && sparse.block_mass[s / BLOCK] > 0),
+            "zero-mass rows inside live blocks"
         );
+    }
+
+    /// One settle after many count changes on overlapping in-rows — the
+    /// shape of seeding a configuration or resuming a checkpoint — queues
+    /// every touched row exactly once, although branch-free marking writes
+    /// an entry on every visit.
+    #[test]
+    fn branch_free_marking_queues_each_row_once() {
+        let active = |i: usize, j: usize| (2 * i + j).is_multiple_of(3);
+        let slots = 3 * BLOCK + 8;
+        let mut idx = SparseActivity::default();
+        let mut counts: Vec<u64> = Vec::new();
+        for _ in 0..slots {
+            counts.push(0);
+            idx.add_slot(&counts, active);
+        }
+        let mut touched = vec![false; slots];
+        for (s, c) in counts.iter_mut().enumerate() {
+            *c = 1 + (s as u64 % 4);
+            idx.count_changed(s, *c as i64);
+            touched[s] = true;
+            for (r, t) in touched.iter_mut().enumerate() {
+                *t |= active(r, s);
+            }
+        }
+        let mut queued: Vec<u32> = idx.dirty[..idx.dirty_len].to_vec();
+        assert_eq!(idx.dirty.len(), slots + 1, "queue sized slots + 1");
+        queued.sort_unstable();
+        queued.dedup();
+        assert_eq!(queued.len(), idx.dirty_len, "no row queued twice");
+        assert_eq!(
+            idx.dirty_len,
+            touched.iter().filter(|&&t| t).count(),
+            "every touched row queued"
+        );
+        idx.settle(&counts);
+        assert_eq!(idx.dirty_len, 0);
+        assert_blocks_consistent(&idx, "after one settle");
+        assert_eq!(idx.mass(), bruteforce_mass(active, &counts));
+
+        // A second wave in the next epoch queues afresh.
+        for s in (0..slots).step_by(7) {
+            counts[s] += 1;
+            idx.count_changed(s, 1);
+        }
+        let mut queued: Vec<u32> = idx.dirty[..idx.dirty_len].to_vec();
+        queued.sort_unstable();
+        queued.dedup();
+        assert_eq!(queued.len(), idx.dirty_len, "no row queued twice");
+        idx.settle(&counts);
+        assert_blocks_consistent(&idx, "after the second settle");
+        assert_eq!(idx.mass(), bruteforce_mass(active, &counts));
     }
 
     #[test]

@@ -17,14 +17,15 @@
 //! Which slot pairs are *active* (state-changing), how much sampling weight
 //! they carry and how a conditional change-pair is drawn is delegated to an
 //! [`Activity`] index — [`SparseActivity`] by default (per-slot adjacency
-//! lists, dirty-row settlement, Fenwick-tree sampling: `O(deg + log slots)`
-//! per change-point), or [`CompactActivity`] for large slot tables; see
-//! [`activity`](crate::activity) for the cost model. All pair-weight
-//! arithmetic is `u128`, so populations up to `2^63 − 1` agents are
-//! supported — far past the former `u32::MAX` cap.
+//! lists, `O(dirty)` settlement, draws through 64-row block sums in
+//! `O(slots/64 + 64 + deg)` per change-point), or [`CompactActivity`] for
+//! large slot tables; see [`activity`](crate::activity) for the cost model.
+//! All pair-weight arithmetic is `u128`, so populations up to `2^63 − 1`
+//! agents are supported — far past the former `u32::MAX` cap.
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::Arc;
 
 use crate::hashing::FxBuildHasher;
@@ -172,6 +173,68 @@ macro_rules! view {
         }
     };
 }
+
+/// Which quantity [`CountEngine::audit`] found out of sync.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AuditQuantity {
+    /// A slot's row mass, against `c_i · Σ_{j ∈ out(i)} (c_j − [i = j])`
+    /// over the activity index's own adjacency.
+    RowMass,
+    /// The total mass, against the sum of the recomputed row masses.
+    Mass,
+    /// The population size `n`, against the sum of the slot counts.
+    Population,
+    /// An output class's size, against the summed counts of the slots
+    /// carrying that output.
+    OutputHistogram,
+}
+
+/// The first disagreement [`CountEngine::audit`] found between the engine's
+/// incremental bookkeeping and a from-scratch recomputation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AuditError {
+    /// The quantity out of sync.
+    pub quantity: AuditQuantity,
+    /// The initiator slot of a row mass, or the lowest slot carrying an
+    /// output class; `None` for totals and for a class no slot carries.
+    pub slot: Option<usize>,
+    /// The engine's incrementally maintained value.
+    pub stored: u128,
+    /// The recomputed value.
+    pub recomputed: u128,
+}
+
+impl AuditError {
+    /// `Ok` when the two values agree, else the mismatch.
+    fn check(
+        quantity: AuditQuantity,
+        slot: Option<usize>,
+        stored: u128,
+        recomputed: u128,
+    ) -> Result<(), Self> {
+        if stored == recomputed {
+            return Ok(());
+        }
+        Err(AuditError {
+            quantity,
+            slot,
+            stored,
+            recomputed,
+        })
+    }
+}
+
+impl fmt::Display for AuditError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{:?}", self.quantity)?;
+        if let Some(slot) = self.slot {
+            write!(f, " of slot {slot}")?;
+        }
+        write!(f, " is {}, recomputed {}", self.stored, self.recomputed)
+    }
+}
+
+impl std::error::Error for AuditError {}
 
 impl<'p, P: Protocol> CountEngine<'p, P, UniformCountScheduler, SparseActivity> {
     /// Creates a uniform-random engine from input symbols.
@@ -376,6 +439,48 @@ where
         for s in states {
             self.ensure_slot(s);
         }
+    }
+
+    /// Recomputes the engine's incremental bookkeeping from scratch and
+    /// compares: every slot's row mass from `counts` and the activity
+    /// index's own adjacency ([`Activity::walk_out`]), their sum against
+    /// [`mass`](Self::mass), `Σ counts` against [`n`](Self::n), and the
+    /// output histogram from the slot counts. `O(slots + active pairs)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first mismatch, in that order (row masses by ascending
+    /// slot), as an [`AuditError`] naming the quantity and the slot.
+    pub fn audit(&self) -> Result<(), AuditError> {
+        use AuditQuantity::*;
+        let mut mass = 0u128;
+        for (i, &ci) in self.counts.iter().enumerate() {
+            let mut responders = 0u128;
+            self.activity.walk_out(i, &mut |j| {
+                responders += u128::from(self.counts[j].saturating_sub(u64::from(i == j)));
+            });
+            let row = u128::from(ci) * responders;
+            AuditError::check(RowMass, Some(i), self.activity.row_mass()[i], row)?;
+            mass += row;
+        }
+        AuditError::check(Mass, None, self.activity.mass(), mass)?;
+        let counted = self.counts.iter().map(|&c| u128::from(c)).sum();
+        AuditError::check(Population, None, u128::from(self.n), counted)?;
+        // Class → (lowest slot with that output, summed counts).
+        let mut histogram: BTreeMap<&P::Output, (usize, u128)> = BTreeMap::new();
+        for (slot, (out, &c)) in self.outs.iter().zip(&self.counts).enumerate() {
+            histogram.entry(out).or_insert((slot, 0)).1 += u128::from(c);
+        }
+        for (out, &(slot, recomputed)) in &histogram {
+            let stored = self.output_counts.get(*out).map_or(0, |&c| c as u128);
+            AuditError::check(OutputHistogram, Some(slot), stored, recomputed)?;
+        }
+        for (out, &stored) in &self.output_counts {
+            if !histogram.contains_key(out) {
+                AuditError::check(OutputHistogram, None, stored as u128, 0)?;
+            }
+        }
+        Ok(())
     }
 
     /// Starts recording the state pairs of applied change-points; see
@@ -1330,23 +1435,6 @@ mod tests {
         }
     }
 
-    fn mass_by_bruteforce<A: Activity>(
-        engine: &CountEngine<'_, Max, UniformCountScheduler, A>,
-    ) -> u128 {
-        let config = engine.config();
-        let mut mass = 0u128;
-        for (a, ca) in config.iter() {
-            for (b, cb) in config.iter() {
-                if Max.is_null_interaction(a, b) {
-                    continue;
-                }
-                let exclude = usize::from(a == b);
-                mass += (ca as u128) * (cb.saturating_sub(exclude) as u128);
-            }
-        }
-        mass
-    }
-
     #[test]
     fn converges_to_max_on_large_population() {
         let inputs: Vec<u8> = (0..1_000_000).map(|i| (i % 11) as u8).collect();
@@ -1363,11 +1451,7 @@ mod tests {
         let mut engine = CountEngine::from_inputs(&Max, &inputs, 3);
         for _ in 0..2_000 {
             let _ = engine.step().unwrap();
-            assert_eq!(engine.mass(), mass_by_bruteforce(&engine));
-            let total: u64 = engine.counts.iter().sum();
-            assert_eq!(total, 60);
-            let out_total: usize = engine.output_counts.values().sum();
-            assert_eq!(out_total, 60);
+            assert_eq!(engine.audit(), Ok(()));
             if engine.is_silent() {
                 break;
             }
@@ -1381,7 +1465,7 @@ mod tests {
         let mut engine = CountEngine::from_inputs(&Max, &inputs, 5);
         while !engine.is_silent() {
             engine.advance_one_change(u64::MAX);
-            assert_eq!(engine.mass(), mass_by_bruteforce(&engine));
+            assert_eq!(engine.audit(), Ok(()));
         }
         assert_eq!(engine.config().n(), 5_000);
         assert_eq!(engine.report().consensus, Some(12));
@@ -1399,9 +1483,73 @@ mod tests {
         );
         while !engine.is_silent() {
             engine.advance_one_change(u64::MAX);
-            assert_eq!(engine.mass(), mass_by_bruteforce(&engine));
+            assert_eq!(engine.audit(), Ok(()));
         }
         assert_eq!(engine.report().consensus, Some(8));
+    }
+
+    /// 160 states span three 64-row blocks of the activity index; the
+    /// audit must hold after every change while low states drain, leaving
+    /// zero-mass rows and then a zero-mass block behind.
+    #[test]
+    fn audit_holds_across_blocks_at_many_slots() {
+        let inputs: Vec<u8> = (0..1_200).map(|i| (i % 160) as u8).collect();
+        let mut engine = CountEngine::from_inputs(&Max, &inputs, 13);
+        assert_eq!(engine.slots(), 160);
+        assert_eq!(engine.audit(), Ok(()));
+        while !engine.is_silent() {
+            engine.advance_one_change(u64::MAX);
+            assert_eq!(engine.audit(), Ok(()));
+        }
+        assert_eq!(engine.report().consensus, Some(159));
+    }
+
+    /// Each corrupted quantity is reported by name, with its slot.
+    #[test]
+    fn audit_names_the_first_mismatch() {
+        let fresh = || CountEngine::from_inputs(&Max, &[1u8, 2, 3], 1);
+        let mismatch = |quantity, slot, stored, recomputed| {
+            Err(AuditError {
+                quantity,
+                slot,
+                stored,
+                recomputed,
+            })
+        };
+        let mut engine = fresh();
+        assert_eq!(engine.audit(), Ok(()));
+        // One agent too many in state 3: slot 0 (state 1) sees it first.
+        engine.counts[2] += 1;
+        assert_eq!(
+            engine.audit(),
+            mismatch(AuditQuantity::RowMass, Some(0), 2, 3)
+        );
+
+        let mut engine = fresh();
+        engine.n += 1;
+        assert_eq!(
+            engine.audit(),
+            mismatch(AuditQuantity::Population, None, 4, 3)
+        );
+
+        let mut engine = fresh();
+        *engine.output_counts.get_mut(&2).unwrap() += 1;
+        let err = engine.audit().unwrap_err();
+        assert_eq!(
+            Err(err),
+            mismatch(AuditQuantity::OutputHistogram, Some(1), 2, 1)
+        );
+        assert_eq!(
+            err.to_string(),
+            "OutputHistogram of slot 1 is 2, recomputed 1"
+        );
+
+        let mut engine = fresh();
+        engine.output_counts.insert(9, 1);
+        assert_eq!(
+            engine.audit(),
+            mismatch(AuditQuantity::OutputHistogram, None, 1, 0)
+        );
     }
 
     #[test]
@@ -1665,7 +1813,7 @@ mod tests {
 
         engine.perturb_transfer(&4u8, 0u8, 3);
         assert!(!engine.is_silent(), "perturbation re-armed activity");
-        assert_eq!(engine.mass(), mass_by_bruteforce(&engine));
+        assert_eq!(engine.audit(), Ok(()));
         assert_eq!(engine.config().n(), 100, "transfer conserves agents");
         assert_eq!(engine.output_counts().len(), 2);
         let steps_before = engine.steps();
@@ -1683,10 +1831,10 @@ mod tests {
         engine.perturb_add(9, 4);
         assert_eq!(engine.n(), 7);
         assert_eq!(engine.config().n(), 7);
-        assert_eq!(engine.mass(), mass_by_bruteforce(&engine));
+        assert_eq!(engine.audit(), Ok(()));
         engine.perturb_remove(&9u8, 3);
         assert_eq!(engine.n(), 4);
-        assert_eq!(engine.mass(), mass_by_bruteforce(&engine));
+        assert_eq!(engine.audit(), Ok(()));
         let out_total: usize = engine.output_counts().values().sum();
         assert_eq!(out_total, 4);
         let report = engine.run_until_silent(u64::MAX).unwrap();
@@ -1699,7 +1847,7 @@ mod tests {
         assert_eq!(engine.slots(), 2);
         engine.perturb_transfer(&1u8, 7u8, 1);
         assert_eq!(engine.slots(), 3, "target slot discovered");
-        assert_eq!(engine.mass(), mass_by_bruteforce(&engine));
+        assert_eq!(engine.audit(), Ok(()));
         let report = engine.run_until_silent(u64::MAX).unwrap();
         assert_eq!(report.consensus, Some(7));
     }

@@ -23,9 +23,10 @@
 //! - [`CountEngine`]: the batched count-based engine, driven by any
 //!   [`CountScheduler`] — it samples interacting *state pairs* instead of
 //!   agent indices and jumps between change-points in one draw. Its
-//!   [`Activity`] index (sparse adjacency + Fenwick sampling, with a
-//!   compressed-row variant for large slot tables) and `u128` pair weights
-//!   scale it to populations of billions of agents.
+//!   [`Activity`] index (sparse adjacency, dirty-row settlement and 64-row
+//!   block sums for sampling, with a compressed-row variant for large slot
+//!   tables) and `u128` pair weights scale it to populations of billions of
+//!   agents.
 //! - [`InteractionTrace`]: record/replay of indexed interaction schedules;
 //!   [`CountTrace`]: its count-level analogue — the JSONL change-point
 //!   schedules that keep large-`n` failures reproducible and shrinkable.
@@ -80,7 +81,6 @@ mod config;
 mod count_engine;
 mod count_trace;
 mod error;
-pub mod fenwick;
 mod hashing;
 mod population;
 mod protocol;
@@ -98,10 +98,9 @@ pub use activity::{
     VecAdj,
 };
 pub use config::CountConfig;
-pub use count_engine::{CompactCountEngine, CountEngine};
+pub use count_engine::{AuditError, AuditQuantity, CompactCountEngine, CountEngine};
 pub use count_trace::CountTrace;
 pub use error::FrameworkError;
-pub use fenwick::Fenwick;
 pub use population::Population;
 pub use protocol::{EnumerableProtocol, Protocol};
 pub use quotient::{quotient_table, QuotientError, StateQuotient};

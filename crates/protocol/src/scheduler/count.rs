@@ -19,10 +19,10 @@
 //! silent-heavy runs advance in one draw per change-point instead of one draw
 //! per interaction. The conditional change-pair draw itself is answered by
 //! the engine's [`Activity`](crate::activity::Activity) index through
-//! [`CountView::sample_change`] — a Fenwick-tree prefix search plus an
-//! adjacency walk (`O(log slots + deg)`) on the default sparse index. All
-//! pair weights are `u128`, so populations beyond `u32::MAX` sample without
-//! overflow.
+//! [`CountView::sample_change`] — a scan of 64-row block sums, then of one
+//! block's rows, then an adjacency walk (`O(slots/64 + 64 + deg)`) on the
+//! default sparse index. All pair weights are `u128`, so populations beyond
+//! `u32::MAX` sample without overflow.
 
 use rand::{RngCore, RngExt};
 
@@ -78,8 +78,8 @@ impl<S> CountView<'_, S> {
     /// Maps the `r`-th unit of active weight (`r < mass`) to its ordered
     /// slot pair: pairs are ordered by initiator slot then responder slot,
     /// each spanning its [`pair_weight`](Self::pair_weight). The activity
-    /// index answers with a Fenwick prefix search (a linear row scan below
-    /// 64 slots) plus an adjacency walk; every index walks rows in ascending
+    /// index answers by scanning its 64-row block sums, then the rows of
+    /// one block, then one out-row; every index walks rows in ascending
     /// slot order, so the same `r` yields the same pair on any of them.
     ///
     /// # Panics

@@ -93,6 +93,7 @@ proptest! {
         );
         for _ in 0..steps {
             engine.step().unwrap();
+            prop_assert_eq!(engine.audit(), Ok(()));
         }
         prop_assert_eq!(engine.report(), reference);
         prop_assert!(engine.is_silent());
@@ -155,6 +156,7 @@ fn u128_mass_path_handles_populations_past_u32_max() {
     let c1 = config.count(&1) as u128;
     let c2 = config.count(&2) as u128;
     assert_eq!(engine.mass(), 2 * c1 * c2);
+    assert_eq!(engine.audit(), Ok(()));
 }
 
 /// A protocol that is one interaction away from silence: the single `1`

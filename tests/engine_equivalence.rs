@@ -98,8 +98,7 @@ proptest! {
 /// Large-k Circles replay: the same indexed schedule, driven through the
 /// sparse (flat rows) and compact (compressed rows) activity indexes,
 /// produces bit-identical reports and configurations — with slot tables
-/// far past the Fenwick threshold (slots ≫ 100), where both indexes draw
-/// through the tree.
+/// past 100 slots, so both indexes draw across 64-row block boundaries.
 #[test]
 fn large_k_circles_replay_is_bit_identical_on_both_indexes() {
     let k = 12u16;
