@@ -4,46 +4,21 @@
 //! Paper anchor: the title and §1 credit the design to "energy minimization
 //! in chemical settings". The chemical object behind that phrase is the
 //! reaction network whose species are Circles states; this experiment
-//! simulates it exactly (Gillespie SSA, `pp-crn`) against its
-//! law-of-mass-action fluid limit and measures the sup-norm density gap on
-//! a fixed time grid. The gap must shrink like `n^{-1/2}` — the fingerprint
-//! that the simulator and the ODE implement the *same* dynamics.
+//! samples the exact uniform-pair chain with the count engine
+//! ([`count_density_trajectory`]) against the network's law-of-mass-action
+//! fluid limit and measures the sup-norm density gap on a fixed time grid.
+//! Time is parallel time (`n` interactions per unit), so the sweep reaches
+//! `n = 10^8`. The gap must shrink like `n^{-1/2}` — the fingerprint that
+//! the sampler and the ODE implement the *same* dynamics.
 
 use circles_core::{CirclesProtocol, CirclesState, Color};
-use pp_crn::{ode_density_trajectory, ssa_density_trajectory, DensityTrajectory, ReactionNetwork};
-use pp_protocol::{CountConfig, CountEngine, Protocol};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use pp_crn::{count_density_trajectory, ode_density_trajectory, ReactionNetwork};
+use pp_protocol::{CountConfig, Protocol};
 
 use crate::plot::LinePlot;
 use crate::runner::{run_seeded, seed_range};
 use crate::stats::{log_log_slope, Summary};
 use crate::table::{fmt_f64, Table};
-
-/// Which stochastic sampler produces the empirical density trajectories.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TrajectorySampler {
-    /// Exact Gillespie SSA over the reaction network (`pp-crn`) — one event
-    /// loop iteration per *productive reaction*, with continuous holding
-    /// times. The reference sampler, practical to `n ≈ 10^5`.
-    Ssa,
-    /// The batched count engine, grid-sampled via
-    /// [`CountEngine::advance_to`] at `t · n` interactions (one parallel
-    /// time unit = `n` interactions, the convention of `pp_crn`). Change
-    /// points cost `O(deg + log slots)`, which is what makes empirical
-    /// densities at `n = 10^8` comparable against the ODE limit.
-    Count,
-}
-
-impl TrajectorySampler {
-    /// Stable name used in table titles.
-    pub fn name(self) -> &'static str {
-        match self {
-            TrajectorySampler::Ssa => "ssa",
-            TrajectorySampler::Count => "count",
-        }
-    }
-}
 
 /// Parameters for E13.
 #[derive(Debug, Clone)]
@@ -65,8 +40,6 @@ pub struct Params {
     pub dt_ode: f64,
     /// Worker threads.
     pub threads: usize,
-    /// Stochastic sampler for the empirical trajectories.
-    pub sampler: TrajectorySampler,
 }
 
 impl Default for Params {
@@ -74,13 +47,12 @@ impl Default for Params {
         Params {
             k: 3,
             profile: vec![0.5, 0.3, 0.2],
-            ns: vec![64, 256, 1024, 4096],
+            ns: vec![64, 256, 1024, 4096, 1_000_000, 10_000_000, 100_000_000],
             seeds: 8,
             t_end: 8.0,
             dt_grid: 0.5,
             dt_ode: 0.01,
             threads: crate::runner::default_threads(),
-            sampler: TrajectorySampler::Ssa,
         }
     }
 }
@@ -97,62 +69,7 @@ impl Params {
             dt_grid: 1.0,
             dt_ode: 0.02,
             threads: 2,
-            sampler: TrajectorySampler::Ssa,
         }
-    }
-
-    /// The Kurtz sweep at populations only the count engine reaches
-    /// (`n` up to `10^8`): grid-sampled `advance_to` trajectories against
-    /// the same ODE limit.
-    pub fn count_large() -> Self {
-        Params {
-            k: 3,
-            profile: vec![0.5, 0.3, 0.2],
-            ns: vec![1_000_000, 10_000_000, 100_000_000],
-            seeds: 4,
-            t_end: 8.0,
-            dt_grid: 0.5,
-            dt_ode: 0.01,
-            threads: crate::runner::default_threads(),
-            sampler: TrajectorySampler::Count,
-        }
-    }
-
-    /// The same preset with a different sampler.
-    pub fn with_sampler(mut self, sampler: TrajectorySampler) -> Self {
-        self.sampler = sampler;
-        self
-    }
-}
-
-/// Samples one count-engine run of `protocol` from `initial` on the
-/// parallel-time grid: at grid time `t` the engine is advanced to exactly
-/// `round(t · n)` interactions and the configuration densities are read off
-/// through the network's species map. The count-level analogue of
-/// `ssa_density_trajectory`, exact in the same sense (silence is absorbing
-/// and detected exactly) and usable at `n = 10^8`.
-pub fn count_density_trajectory(
-    network: &ReactionNetwork<CirclesState>,
-    protocol: &CirclesProtocol,
-    initial: &CountConfig<CirclesState>,
-    seed: u64,
-    times: &[f64],
-) -> DensityTrajectory {
-    let n = initial.n() as f64;
-    let mut engine = CountEngine::from_config(protocol, initial.clone(), seed);
-    let mut rows = Vec::with_capacity(times.len());
-    for &t in times {
-        engine
-            .advance_to((t * n).round() as u64)
-            .expect("population has at least two agents");
-        let counts = network
-            .counts_from_config(&engine.config())
-            .expect("network closure covers every reachable state");
-        rows.push(network.densities(&counts));
-    }
-    DensityTrajectory {
-        times: times.to_vec(),
-        rows,
     }
 }
 
@@ -196,10 +113,7 @@ pub fn run_with_figures(params: &Params) -> (Table, Vec<(String, LinePlot)>) {
     let times = grid(params.t_end, params.dt_grid);
 
     let mut table = Table::new(
-        &format!(
-            "E13 — Kurtz convergence: {} density gap to the mean-field ODE",
-            params.sampler.name()
-        ),
+        "E13 — Kurtz convergence: count-engine density gap to the mean-field ODE",
         &[
             "n",
             "seeds",
@@ -230,28 +144,19 @@ pub fn run_with_figures(params: &Params) -> (Table, Vec<(String, LinePlot)>) {
         let x0 = network.densities(&network.counts_from_config(&initial).expect("known species"));
         let ode = ode_density_trajectory(&network, x0, &times, params.dt_ode).expect("valid grid");
 
-        let trajectories = run_seeded(
-            &seed_range(params.seeds),
-            params.threads,
-            |seed| match params.sampler {
-                TrajectorySampler::Ssa => {
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    ssa_density_trajectory(&network, &initial, &mut rng, &times, u64::MAX)
-                        .expect("ssa trajectory")
-                }
-                TrajectorySampler::Count => {
-                    count_density_trajectory(&network, &protocol, &initial, seed, &times)
-                }
-            },
-        );
+        let trajectories = run_seeded(&seed_range(params.seeds), params.threads, |seed| {
+            count_density_trajectory(&network, &protocol, &initial, seed, &times)
+                .expect("valid instance and grid")
+        });
         let gaps: Vec<f64> = trajectories.iter().map(|t| t.sup_distance(&ode)).collect();
         let summary = Summary::from_samples(&gaps);
         gap_points.push((n as f64, summary.mean));
         table.push_row(vec![
             n.to_string(),
             params.seeds.to_string(),
-            fmt_f64(summary.mean),
-            fmt_f64(summary.std),
+            // Significant digits: at n = 10^8 the gap is ~10^-5.
+            format!("{:.3e}", summary.mean),
+            format!("{:.3e}", summary.std),
             fmt_f64(summary.mean * (n as f64).sqrt()),
             network.species_count().to_string(),
             network.reaction_count().to_string(),
@@ -266,7 +171,7 @@ pub fn run_with_figures(params: &Params) -> (Table, Vec<(String, LinePlot)>) {
                 .zip(&trajectories[0].rows)
                 .map(|(&t, row)| (t, selfloop_density(&network, row)))
                 .collect();
-            selfloop_series.push((format!("{} n={n}", params.sampler.name()), series));
+            selfloop_series.push((format!("count-engine n={n}"), series));
         }
         if n == *params.ns.last().expect("ns nonempty") {
             let series: Vec<(f64, f64)> = times
@@ -291,14 +196,11 @@ pub fn run_with_figures(params: &Params) -> (Table, Vec<(String, LinePlot)>) {
         ]);
     }
 
-    let mut gap_plot = LinePlot::new(format!(
-        "E13: {} vs mean-field sup-distance",
-        params.sampler.name()
-    ))
-    .axis_labels("n", "sup-norm density gap")
-    .log_x()
-    .log_y()
-    .with_series("measured", gap_points.clone());
+    let mut gap_plot = LinePlot::new("E13: count engine vs mean-field sup-distance")
+        .axis_labels("n", "sup-norm density gap")
+        .log_x()
+        .log_y()
+        .with_series("measured", gap_points.clone());
     if let Some(&(n0, g0)) = gap_points.first() {
         let reference: Vec<(f64, f64)> = gap_points
             .iter()
@@ -307,7 +209,7 @@ pub fn run_with_figures(params: &Params) -> (Table, Vec<(String, LinePlot)>) {
         gap_plot = gap_plot.with_series("c/sqrt(n)", reference);
     }
 
-    let mut traj_plot = LinePlot::new("E13: self-loop density, SSA vs ODE")
+    let mut traj_plot = LinePlot::new("E13: self-loop density, count engine vs ODE")
         .axis_labels("parallel time", "self-loop density");
     for (label, series) in selfloop_series {
         traj_plot = traj_plot.with_series(label, series);
@@ -345,9 +247,8 @@ mod tests {
     }
 
     #[test]
-    fn count_sampler_tracks_the_ode_where_ssa_cannot_go() {
-        // One count-engine trajectory at n = 200k (an SSA event loop at this
-        // scale is already painful) must track the ODE to ~1%.
+    fn count_sampler_tracks_the_ode_at_large_n() {
+        // One count-engine trajectory at n = 200k must track the ODE to ~1%.
         let params = Params::quick();
         let protocol = CirclesProtocol::new(params.k).expect("k >= 1");
         let support: Vec<CirclesState> = (0..params.k).map(|i| protocol.input(&Color(i))).collect();
@@ -360,7 +261,7 @@ mod tests {
         for (i, &c) in counts.iter().enumerate() {
             initial.insert(support[i], c);
         }
-        let traj = count_density_trajectory(&network, &protocol, &initial, 3, &times);
+        let traj = count_density_trajectory(&network, &protocol, &initial, 3, &times).unwrap();
         let x0 = network.densities(&network.counts_from_config(&initial).expect("known species"));
         let ode = ode_density_trajectory(&network, x0, &times, params.dt_ode).expect("valid grid");
         let gap = traj.sup_distance(&ode);
@@ -371,18 +272,6 @@ mod tests {
         assert!(
             (traj.rows[0].iter().sum::<f64>() - 1.0).abs() < 1e-9,
             "densities must normalize"
-        );
-    }
-
-    #[test]
-    fn count_sampler_gap_shrinks_with_n() {
-        let (table, _) = run_with_figures(&Params::quick().with_sampler(TrajectorySampler::Count));
-        assert_eq!(table.len(), 3);
-        let small: f64 = table.rows()[0][2].parse().unwrap();
-        let large: f64 = table.rows()[1][2].parse().unwrap();
-        assert!(
-            large < small,
-            "count-sampled gap must shrink with n: {small} vs {large}"
         );
     }
 

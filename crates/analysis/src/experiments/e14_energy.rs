@@ -6,43 +6,22 @@
 //! (Lemma 3.6) carries exactly `k·c_max/n` per agent — because every greedy
 //! set's circle `f(G_p)` has total arc weight exactly `k` (the arcs of a
 //! circle over `Z_k` wrap once), and there are `q = c_max` circles. The
-//! experiment tracks per-agent energy along stochastic (SSA) runs and the
-//! mean-field ODE and checks both settle on that floor. Total energy is
-//! *not* the protocol's Lyapunov function (the lexicographic potential is);
-//! transient upticks along sample paths are expected and recorded.
+//! experiment tracks per-agent energy along count-engine runs of the exact
+//! uniform-pair chain (sampled in parallel time, `n` interactions per unit)
+//! and along the mean-field ODE, and checks both settle on that floor.
+//! Total energy is *not* the protocol's Lyapunov function (the
+//! lexicographic potential is); transient upticks along sample paths are
+//! expected and recorded.
 
 use circles_core::{weight, CirclesProtocol, CirclesState, Color};
-use pp_crn::{ode_density_trajectory, ssa_density_trajectory, ReactionNetwork};
-use pp_protocol::{CountConfig, CountEngine, Protocol};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use pp_crn::{count_density_trajectory, ode_density_trajectory, ReactionNetwork};
+use pp_protocol::{CountConfig, Protocol};
 
 use crate::experiments::e13_meanfield::profile_counts;
 use crate::plot::LinePlot;
 use crate::runner::{run_seeded, seed_range};
 use crate::stats::Summary;
 use crate::table::{fmt_f64, Table};
-
-/// Which stochastic sampler generates the finite-`n` energy trajectories.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StochasticBackend {
-    /// Exact continuous-time SSA (Gillespie) runs on the reaction network.
-    Ssa,
-    /// The discrete-time batched count engine, sampled at parallel-time
-    /// grid points (`t·n` interactions). Scales to much larger `n` than the
-    /// SSA because silent stretches are skipped.
-    Count,
-}
-
-impl StochasticBackend {
-    /// Stable series label used in tables and figures.
-    pub fn label(self) -> &'static str {
-        match self {
-            StochasticBackend::Ssa => "SSA",
-            StochasticBackend::Count => "count-engine",
-        }
-    }
-}
 
 /// Parameters for E14.
 #[derive(Debug, Clone)]
@@ -63,8 +42,6 @@ pub struct Params {
     pub dt_ode: f64,
     /// Worker threads.
     pub threads: usize,
-    /// Stochastic sampler for the finite-`n` series.
-    pub backend: StochasticBackend,
 }
 
 impl Default for Params {
@@ -78,7 +55,6 @@ impl Default for Params {
             dt_grid: 0.5,
             dt_ode: 0.01,
             threads: crate::runner::default_threads(),
-            backend: StochasticBackend::Ssa,
         }
     }
 }
@@ -95,29 +71,13 @@ impl Params {
             dt_grid: 1.0,
             dt_ode: 0.02,
             threads: 2,
-            backend: StochasticBackend::Ssa,
         }
-    }
-
-    /// The same preset on the other stochastic backend.
-    pub fn with_backend(mut self, backend: StochasticBackend) -> Self {
-        self.backend = backend;
-        self
     }
 }
 
 fn grid(t_end: f64, dt: f64) -> Vec<f64> {
     let steps = (t_end / dt).round() as usize;
     (0..=steps).map(|i| i as f64 * dt).collect()
-}
-
-/// Per-agent energy of an anonymous configuration.
-fn energy_of_config(k: u16, config: &CountConfig<CirclesState>, n: usize) -> f64 {
-    config
-        .iter()
-        .map(|(s, c)| f64::from(weight(k, s.braket)) * c as f64)
-        .sum::<f64>()
-        / n as f64
 }
 
 /// Per-agent energy of a density row.
@@ -155,7 +115,7 @@ pub fn run_with_figures(params: &Params) -> (Table, Vec<(String, LinePlot)>) {
             "final/floor",
         ],
     );
-    let mut figure = LinePlot::new("E14: energy descent, SSA vs mean-field")
+    let mut figure = LinePlot::new("E14: energy descent, count engine vs mean-field")
         .axis_labels("parallel time", "energy per agent");
 
     // Mean-field trajectory.
@@ -198,35 +158,14 @@ pub fn run_with_figures(params: &Params) -> (Table, Vec<(String, LinePlot)>) {
         for (i, &c) in counts.iter().enumerate() {
             initial.insert(support[i], c);
         }
-        let energy_rows = match params.backend {
-            StochasticBackend::Ssa => {
-                run_seeded(&seed_range(params.seeds), params.threads, |seed| {
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    let traj =
-                        ssa_density_trajectory(&network, &initial, &mut rng, &times, u64::MAX)
-                            .expect("ssa trajectory");
-                    traj.rows
-                        .iter()
-                        .map(|row| energy_of_row(&network, params.k, row))
-                        .collect::<Vec<f64>>()
-                })
-            }
-            StochasticBackend::Count => {
-                // One interaction per `1/n` parallel time (the SSA fires at
-                // total rate `n`), so grid time `t` is `t·n` interactions.
-                run_seeded(&seed_range(params.seeds), params.threads, |seed| {
-                    let mut engine = CountEngine::from_config(&protocol, initial.clone(), seed);
-                    times
-                        .iter()
-                        .map(|&t| {
-                            let target = (t * n as f64).round() as u64;
-                            engine.advance_to(target).expect("n >= 2");
-                            energy_of_config(params.k, &engine.config(), n)
-                        })
-                        .collect::<Vec<f64>>()
-                })
-            }
-        };
+        let energy_rows = run_seeded(&seed_range(params.seeds), params.threads, |seed| {
+            count_density_trajectory(&network, &protocol, &initial, seed, &times)
+                .expect("valid instance and grid")
+                .rows
+                .iter()
+                .map(|row| energy_of_row(&network, params.k, row))
+                .collect::<Vec<f64>>()
+        });
         // Per-grid-point mean across seeds.
         let mean_curve: Vec<f64> = (0..times.len())
             .map(|i| {
@@ -242,7 +181,7 @@ pub fn run_with_figures(params: &Params) -> (Table, Vec<(String, LinePlot)>) {
         .mean;
         let last = *mean_curve.last().expect("nonempty grid");
         table.push_row(vec![
-            params.backend.label().to_string(),
+            "count-engine".to_string(),
             n.to_string(),
             fmt_f64(mean_curve[0]),
             fmt_f64(last),
@@ -251,7 +190,7 @@ pub fn run_with_figures(params: &Params) -> (Table, Vec<(String, LinePlot)>) {
             fmt_f64(last / floor),
         ]);
         figure = figure.with_series(
-            format!("{} n={n}", params.backend.label()),
+            format!("count-engine n={n}"),
             times.iter().copied().zip(mean_curve).collect(),
         );
     }
@@ -284,22 +223,20 @@ mod tests {
 
     #[test]
     fn energy_settles_on_the_closed_form_floor() {
-        for backend in [StochasticBackend::Ssa, StochasticBackend::Count] {
-            let (table, figures) = run_with_figures(&Params::quick().with_backend(backend));
-            // k = 3, p_max = 0.5 ⇒ floor = 1.5; initial = k = 3.
-            for row in table.rows() {
-                let initial: f64 = row[2].parse().unwrap();
-                let ratio: f64 = row[6].parse().unwrap();
-                assert!(
-                    (initial - 3.0).abs() < 0.05,
-                    "initial energy must be ~k ({backend:?}): {row:?}"
-                );
-                assert!(
-                    (ratio - 1.0).abs() < 0.1,
-                    "final energy must sit on the floor ({backend:?}): {row:?}"
-                );
-            }
-            assert_eq!(figures.len(), 1);
+        let (table, figures) = run_with_figures(&Params::quick());
+        // k = 3, p_max = 0.5 ⇒ floor = 1.5; initial = k = 3.
+        for row in table.rows() {
+            let initial: f64 = row[2].parse().unwrap();
+            let ratio: f64 = row[6].parse().unwrap();
+            assert!(
+                (initial - 3.0).abs() < 0.05,
+                "initial energy must be ~k: {row:?}"
+            );
+            assert!(
+                (ratio - 1.0).abs() < 0.1,
+                "final energy must sit on the floor: {row:?}"
+            );
         }
+        assert_eq!(figures.len(), 1);
     }
 }

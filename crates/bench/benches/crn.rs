@@ -1,13 +1,11 @@
-//! CRN-layer throughput: network construction, Gillespie firing rate, and
-//! mean-field integration speed.
+//! CRN-layer throughput: network construction and mean-field integration
+//! speed.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use circles_core::{CirclesProtocol, CirclesState, Color};
-use pp_crn::{MeanField, ReactionNetwork, StochasticSimulation};
+use pp_crn::{MeanField, ReactionNetwork};
 use pp_protocol::{CountConfig, Protocol};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn network_for(k: u16) -> (CirclesProtocol, ReactionNetwork<CirclesState>) {
     let protocol = CirclesProtocol::new(k).unwrap();
@@ -50,36 +48,6 @@ fn bench_network_construction(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_gillespie_steps(c: &mut Criterion) {
-    let mut group = c.benchmark_group("crn_gillespie_steps");
-    group.sample_size(10);
-    const STEPS: u64 = 20_000;
-    group.throughput(Throughput::Elements(STEPS));
-    for (n, k) in [(1_024usize, 4u16), (65_536, 4), (1_024, 8)] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("n{n}_k{k}")),
-            &(n, k),
-            |b, &(n, k)| {
-                let (protocol, network) = network_for(k);
-                let initial = initial_for(&protocol, n);
-                b.iter(|| {
-                    let mut sim = StochasticSimulation::new(&network, &initial).unwrap();
-                    let mut rng = StdRng::seed_from_u64(7);
-                    let mut fired = 0u64;
-                    while fired < STEPS {
-                        if sim.step(&mut rng).is_none() {
-                            break; // silent early: restart measures the same work
-                        }
-                        fired += 1;
-                    }
-                    (fired, sim.time())
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
 fn bench_meanfield_integration(c: &mut Criterion) {
     let mut group = c.benchmark_group("crn_meanfield_rk4");
     group.sample_size(10);
@@ -98,7 +66,6 @@ fn bench_meanfield_integration(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_network_construction,
-    bench_gillespie_steps,
     bench_meanfield_integration
 );
 criterion_main!(benches);

@@ -1,24 +1,14 @@
 //! Regenerates experiment E13 (`meanfield`); see DESIGN.md §7.
 //!
-//! `PP_E13_SAMPLER=count` switches to the count-engine sampler at the
-//! large-`n` preset (`n` up to `10^8`), the populations the SSA event loop
-//! cannot reach; `PP_E13_SAMPLER=gillespie` (or unset) is the Gillespie
-//! reference sweep. Any other value exits with a structured error.
+//! The default sweep samples count-engine density trajectories from
+//! `n = 64` to `n = 10^8` against the mean-field ODE; `--quick` (or
+//! `PP_EXP_QUICK=1`) selects the CI-scale preset.
 
 use pp_analysis::experiments::e13_meanfield::{run_with_figures, Params};
 
 fn main() {
-    let count_sampler = match pp_bench::env_override::<String>("PP_E13_SAMPLER").as_deref() {
-        None | Some("gillespie") => false,
-        Some("count") => true,
-        Some(other) => {
-            pp_bench::env_override_fail("PP_E13_SAMPLER", other, "expected `count` or `gillespie`")
-        }
-    };
     let params = if pp_bench::quick_requested() {
         Params::quick()
-    } else if count_sampler {
-        Params::count_large()
     } else {
         Params::default()
     };

@@ -43,11 +43,6 @@ fn invalid_env_overrides_exit_nonzero_with_the_variable_named() {
     assert_env_rejected(e11, "PP_E11_HAZARD_N", "0");
     assert_env_rejected(e11, "PP_E11_HAZARD_K", "1");
     assert_env_rejected(e11, "PP_E11_HAZARD_SEEDS", "-3");
-    assert_env_rejected(
-        env!("CARGO_BIN_EXE_exp_e13_meanfield"),
-        "PP_E13_SAMPLER",
-        "exact",
-    );
     let e03 = env!("CARGO_BIN_EXE_exp_e03_convergence_k");
     assert_env_rejected(e03, "PP_E03_N", "0");
     assert_env_rejected(e03, "PP_E03_SEEDS", "lots");

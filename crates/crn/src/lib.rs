@@ -7,19 +7,20 @@
 //! crate materializes that reading for any [`Protocol`]:
 //!
 //! - [`ReactionNetwork`]: the explicit network over the *species closure* of
-//!   an initial support (every state reachable by pairwise interactions),
-//!   with per-initiator adjacency for fast simulation.
-//! - [`StochasticSimulation`]: exact Gillespie/SSA sampling of the
-//!   continuous-time Markov chain in which every ordered agent pair carries
-//!   a rate-`1/(n-1)` Poisson clock — one time unit = `n` interactions
-//!   (*parallel time*). Null interactions are thinned away exactly.
+//!   an initial support (every state reachable by pairwise interactions).
 //! - [`MeanField`]: the large-`n` law-of-mass-action ODE
 //!   `dx_s/dt = Σ x_A x_B φ_s(A,B)` with an RK4 integrator — the
 //!   deterministic limit (Kurtz) the stochastic densities converge to.
-//! - [`ssa_density_trajectory`] / [`ode_density_trajectory`]: grid-sampled
+//! - [`count_density_trajectory`] / [`ode_density_trajectory`]: grid-sampled
 //!   density trajectories, used by experiments E13/E14 to measure how fast
 //!   the stochastic system approaches its fluid limit and how the Circles
-//!   energy descends in continuous time.
+//!   energy descends in parallel time.
+//!
+//! The stochastic side is not simulated here: [`count_density_trajectory`]
+//! samples the exact uniform-pair chain with [`CountEngine`], and time is
+//! that chain's *parallel time* — interactions divided by `n`. A
+//! continuous-time (Gillespie) reading of the same network has the same
+//! mean clock; the two differ only by `O(1/√n)` fluctuations.
 //!
 //! # Example
 //!
@@ -27,9 +28,8 @@
 //!
 //! ```
 //! use circles_core::{CirclesProtocol, Color};
-//! use pp_crn::{MeanField, ReactionNetwork, StochasticSimulation};
-//! use pp_protocol::{CountConfig, Protocol};
-//! use rand::{rngs::StdRng, SeedableRng};
+//! use pp_crn::{MeanField, ReactionNetwork};
+//! use pp_protocol::{CountConfig, CountEngine, Protocol};
 //!
 //! let protocol = CirclesProtocol::new(2)?;
 //! let support: Vec<_> = (0..2).map(|i| protocol.input(&Color(i))).collect();
@@ -39,11 +39,9 @@
 //! let mut initial = CountConfig::new();
 //! initial.insert(support[0], 60);
 //! initial.insert(support[1], 40);
-//! let mut sim = StochasticSimulation::new(&network, &initial)?;
-//! let mut rng = StdRng::seed_from_u64(1);
-//! let report = sim.run_until_silent(&mut rng, 1_000_000);
-//! assert!(report.silent);
-//! assert_eq!(sim.config().output_consensus(&protocol), Some(Color(0)));
+//! let mut engine = CountEngine::from_config(&protocol, initial.clone(), 1);
+//! let report = engine.run_until_silent(u64::MAX)?;
+//! assert_eq!(report.consensus, Some(Color(0)));
 //!
 //! // Mean field: the same instance as densities.
 //! let field = MeanField::new(&network);
@@ -55,18 +53,17 @@
 //! ```
 //!
 //! [`Protocol`]: pp_protocol::Protocol
+//! [`CountEngine`]: pp_protocol::CountEngine
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod error;
-mod gillespie;
 mod network;
 mod ode;
 mod trajectory;
 
 pub use error::CrnError;
-pub use gillespie::{FiredReaction, SsaReport, StochasticSimulation};
-pub use network::{Partner, Reaction, ReactionNetwork, SpeciesId, SpeciesMap};
+pub use network::{Reaction, ReactionNetwork, SpeciesId, SpeciesMap};
 pub use ode::MeanField;
-pub use trajectory::{ode_density_trajectory, ssa_density_trajectory, DensityTrajectory};
+pub use trajectory::{count_density_trajectory, ode_density_trajectory, DensityTrajectory};

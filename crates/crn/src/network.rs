@@ -98,16 +98,6 @@ pub struct Reaction {
     pub products: (SpeciesId, SpeciesId),
 }
 
-/// A partner entry of the per-initiator adjacency: responder species and the
-/// two product species.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Partner {
-    /// Responder species.
-    pub responder: SpeciesId,
-    /// Products `(initiator', responder')`.
-    pub products: (SpeciesId, SpeciesId),
-}
-
 /// An explicit bimolecular reaction network over the reachable species of a
 /// protocol.
 ///
@@ -141,12 +131,8 @@ pub struct Partner {
 #[derive(Debug, Clone)]
 pub struct ReactionNetwork<S> {
     species: SpeciesMap<S>,
+    /// Productive reactions in `(initiator, responder)` order.
     reactions: Vec<Reaction>,
-    /// `partners[a]` = productive responders of initiator `a`.
-    partners: Vec<Vec<Partner>>,
-    /// `influences[c]` = initiators `a` such that `c` appears among
-    /// `partners[a]` (used for incremental propensity maintenance).
-    influences: Vec<Vec<SpeciesId>>,
 }
 
 impl<S: Clone + Eq + Hash + Debug> ReactionNetwork<S> {
@@ -212,8 +198,7 @@ impl<S: Clone + Eq + Hash + Debug> ReactionNetwork<S> {
         // Enumerate productive reactions among the closed species set.
         let m = species.len();
         let mut reactions = Vec::new();
-        let mut partners: Vec<Vec<Partner>> = vec![Vec::new(); m];
-        for (a_idx, partner_list) in partners.iter_mut().enumerate() {
+        for a_idx in 0..m {
             for b_idx in 0..m {
                 let a = species.state(a_idx as SpeciesId);
                 let b = species.state(b_idx as SpeciesId);
@@ -228,29 +213,10 @@ impl<S: Clone + Eq + Hash + Debug> ReactionNetwork<S> {
                     responder: b_idx as SpeciesId,
                     products: (pa, pb),
                 });
-                partner_list.push(Partner {
-                    responder: b_idx as SpeciesId,
-                    products: (pa, pb),
-                });
             }
         }
 
-        let mut influences: Vec<Vec<SpeciesId>> = vec![Vec::new(); m];
-        for (a_idx, list) in partners.iter().enumerate() {
-            for p in list {
-                let entry = &mut influences[p.responder as usize];
-                if entry.last() != Some(&(a_idx as SpeciesId)) {
-                    entry.push(a_idx as SpeciesId);
-                }
-            }
-        }
-
-        Ok(ReactionNetwork {
-            species,
-            reactions,
-            partners,
-            influences,
-        })
+        Ok(ReactionNetwork { species, reactions })
     }
 
     /// The species map.
@@ -268,19 +234,9 @@ impl<S: Clone + Eq + Hash + Debug> ReactionNetwork<S> {
         self.reactions.len()
     }
 
-    /// All productive reactions.
+    /// All productive reactions, ordered by initiator, then responder.
     pub fn reactions(&self) -> &[Reaction] {
         &self.reactions
-    }
-
-    /// Productive responders of initiator species `a`.
-    pub fn partners(&self, a: SpeciesId) -> &[Partner] {
-        &self.partners[a as usize]
-    }
-
-    /// Initiator species whose partner list contains `c` as responder.
-    pub fn influences(&self, c: SpeciesId) -> &[SpeciesId] {
-        &self.influences[c as usize]
     }
 
     /// Converts an anonymous configuration into a dense per-species count
@@ -417,29 +373,15 @@ mod tests {
     }
 
     #[test]
-    fn partner_lists_match_reaction_list() {
+    fn reactions_are_ordered_by_initiator_then_responder() {
         let protocol = CirclesProtocol::new(3).unwrap();
         let support: Vec<_> = (0..3).map(|i| protocol.input(&Color(i))).collect();
         let network = ReactionNetwork::from_protocol(&protocol, &support, 100).unwrap();
-        let from_partners: usize = (0..network.species_count())
-            .map(|a| network.partners(a as SpeciesId).len())
-            .sum();
-        assert_eq!(from_partners, network.reaction_count());
-    }
-
-    #[test]
-    fn influences_are_consistent_with_partners() {
-        let protocol = CirclesProtocol::new(3).unwrap();
-        let support: Vec<_> = (0..3).map(|i| protocol.input(&Color(i))).collect();
-        let network = ReactionNetwork::from_protocol(&protocol, &support, 100).unwrap();
-        for c in 0..network.species_count() as SpeciesId {
-            for &a in network.influences(c) {
-                assert!(
-                    network.partners(a).iter().any(|p| p.responder == c),
-                    "influence list lists a non-partner"
-                );
-            }
-        }
+        let order = |r: &Reaction| (r.initiator, r.responder);
+        assert!(network
+            .reactions()
+            .windows(2)
+            .all(|w| order(&w[0]) < order(&w[1])));
     }
 
     #[test]

@@ -76,21 +76,15 @@ impl<'a, S: Clone + Eq + Hash + Debug> MeanField<'a, S> {
         assert_eq!(x.len(), m, "density vector length mismatch");
         assert_eq!(dx.len(), m, "derivative vector length mismatch");
         dx.fill(0.0);
-        for a in 0..m {
-            let xa = x[a];
-            if xa == 0.0 {
+        for r in self.network.reactions() {
+            let flux = x[r.initiator as usize] * x[r.responder as usize];
+            if flux == 0.0 {
                 continue;
             }
-            for p in self.network.partners(a as u32) {
-                let flux = xa * x[p.responder as usize];
-                if flux == 0.0 {
-                    continue;
-                }
-                dx[a] -= flux;
-                dx[p.responder as usize] -= flux;
-                dx[p.products.0 as usize] += flux;
-                dx[p.products.1 as usize] += flux;
-            }
+            dx[r.initiator as usize] -= flux;
+            dx[r.responder as usize] -= flux;
+            dx[r.products.0 as usize] += flux;
+            dx[r.products.1 as usize] += flux;
         }
     }
 

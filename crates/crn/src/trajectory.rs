@@ -1,14 +1,19 @@
 //! Grid-sampled density trajectories for comparing the stochastic and
 //! mean-field views of a network (experiment E13/E14 substrate).
+//!
+//! Both views share one clock: *parallel time*, one unit per `n`
+//! interactions. The stochastic side samples the discrete uniform-pair
+//! chain with [`CountEngine`] and reads grid time `t` as `round(t·n)`
+//! interactions. The continuous-time reading (a Poisson clock per agent
+//! pair) has the same mean clock and differs from it only by `O(1/√n)`
+//! fluctuations, which vanish in the same limit the ODE describes.
 
 use std::fmt::Debug;
 use std::hash::Hash;
 
-use pp_protocol::CountConfig;
-use rand::rngs::StdRng;
+use pp_protocol::{CountConfig, CountEngine, Protocol};
 
 use crate::error::CrnError;
-use crate::gillespie::StochasticSimulation;
 use crate::network::ReactionNetwork;
 use crate::ode::MeanField;
 
@@ -50,56 +55,44 @@ impl DensityTrajectory {
     }
 }
 
-/// Samples one stochastic run of `network` from `initial` at the given
+/// Samples one count-engine run of `protocol` from `initial` at the given
 /// non-decreasing `times` (parallel-time units).
 ///
-/// The recorded value at grid time `t` is the configuration in force at `t`
-/// (the state immediately before the first reaction firing after `t`). When
-/// the run goes silent early, the terminal densities fill the remaining grid
-/// points — silence is absorbing, so this is exact rather than an
-/// approximation.
+/// The row at grid time `t` is the configuration after exactly
+/// `round(t · n)` interactions ([`CountEngine::advance_to`]), read off as
+/// densities through `network`'s species map. A run that goes silent early
+/// repeats its terminal densities: silence is absorbing and detected
+/// exactly, so no interaction budget is needed at any `n`.
 ///
 /// # Errors
 ///
-/// Propagates [`CrnError`] from simulation construction; returns
-/// [`CrnError::BadIntegrationParameter`] when `times` is not non-decreasing
-/// or not finite.
-pub fn ssa_density_trajectory<S>(
-    network: &ReactionNetwork<S>,
-    initial: &CountConfig<S>,
-    rng: &mut StdRng,
+/// Returns [`CrnError::BadIntegrationParameter`] when `times` is not
+/// non-decreasing or not finite, [`CrnError::UnknownSpecies`] /
+/// [`CrnError::EmptyPopulation`] when `initial` does not fit `network`, and
+/// [`CrnError::PopulationTooSmall`] when it holds fewer than two agents.
+pub fn count_density_trajectory<P: Protocol>(
+    network: &ReactionNetwork<P::State>,
+    protocol: &P,
+    initial: &CountConfig<P::State>,
+    seed: u64,
     times: &[f64],
-    max_reactions: u64,
-) -> Result<DensityTrajectory, CrnError>
-where
-    S: Clone + Eq + Ord + Hash + Debug,
-{
+) -> Result<DensityTrajectory, CrnError> {
     validate_grid(times)?;
-    let mut sim = StochasticSimulation::new(network, initial)?;
-    let mut rows: Vec<Vec<f64>> = Vec::with_capacity(times.len());
-    let mut next_grid = 0usize;
-    let mut fired = 0u64;
-    // The configuration is a càdlàg step function of time: grid points
-    // strictly before the next firing see the configuration in force; a
-    // grid point equal to a firing time sees the post-firing state.
-    let mut current = network.densities(sim.counts());
-    while next_grid < times.len() && fired < max_reactions {
-        let in_force = current;
-        if sim.step(rng).is_none() {
-            current = in_force; // silent: absorbing, fill below
-            break;
-        }
-        fired += 1;
-        let fire_time = sim.time();
-        while next_grid < times.len() && times[next_grid] < fire_time {
-            rows.push(in_force.clone());
-            next_grid += 1;
-        }
-        current = network.densities(sim.counts());
+    network.counts_from_config(initial)?;
+    let n = initial.n();
+    if n < 2 {
+        return Err(CrnError::PopulationTooSmall { n });
     }
-    while next_grid < times.len() {
-        rows.push(current.clone());
-        next_grid += 1;
+    let mut engine = CountEngine::from_config(protocol, initial.clone(), seed);
+    let mut rows = Vec::with_capacity(times.len());
+    for &t in times {
+        engine
+            .advance_to((t * n as f64).round() as u64)
+            .expect("population has at least two agents");
+        let counts = network
+            .counts_from_config(&engine.config())
+            .expect("the species closure covers every reachable state");
+        rows.push(network.densities(&counts));
     }
     Ok(DensityTrajectory {
         times: times.to_vec(),
@@ -157,9 +150,8 @@ fn validate_grid(times: &[f64]) -> Result<(), CrnError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use circles_core::{CirclesProtocol, Color};
+    use circles_core::{CirclesProtocol, CirclesState, Color};
     use pp_protocol::Protocol;
-    use rand::SeedableRng;
 
     struct Epidemic;
     impl pp_protocol::Protocol for Epidemic {
@@ -181,16 +173,19 @@ mod tests {
         }
     }
 
+    fn epidemic_network() -> ReactionNetwork<bool> {
+        ReactionNetwork::from_protocol(&Epidemic, &[true, false], 10).unwrap()
+    }
+
     #[test]
-    fn ssa_trajectory_is_monotone_for_epidemic() {
-        let network = ReactionNetwork::from_protocol(&Epidemic, &[true, false], 10).unwrap();
+    fn count_trajectory_is_monotone_for_epidemic() {
+        let network = epidemic_network();
         let informed = network.species().id(&true).unwrap() as usize;
         let initial: CountConfig<bool> = std::iter::once(true)
             .chain(std::iter::repeat_n(false, 127))
             .collect();
         let times: Vec<f64> = (0..=20).map(|i| i as f64 * 0.5).collect();
-        let mut rng = StdRng::seed_from_u64(2);
-        let traj = ssa_density_trajectory(&network, &initial, &mut rng, &times, 100_000).unwrap();
+        let traj = count_density_trajectory(&network, &Epidemic, &initial, 2, &times).unwrap();
         assert_eq!(traj.rows.len(), times.len());
         let series = traj.series(informed);
         assert!(
@@ -208,13 +203,12 @@ mod tests {
     }
 
     #[test]
-    fn ssa_trajectory_fills_after_silence() {
-        let network = ReactionNetwork::from_protocol(&Epidemic, &[true, false], 10).unwrap();
+    fn count_trajectory_fills_after_silence() {
+        let network = epidemic_network();
         let initial: CountConfig<bool> = [true, false, false, false].into_iter().collect();
         // Grid extends far past completion.
         let times = [0.0, 50.0, 100.0];
-        let mut rng = StdRng::seed_from_u64(3);
-        let traj = ssa_density_trajectory(&network, &initial, &mut rng, &times, 100).unwrap();
+        let traj = count_density_trajectory(&network, &Epidemic, &initial, 3, &times).unwrap();
         let informed = network.species().id(&true).unwrap() as usize;
         assert_eq!(traj.rows[1][informed], 1.0);
         assert_eq!(traj.rows[2][informed], 1.0);
@@ -222,7 +216,7 @@ mod tests {
 
     #[test]
     fn ode_trajectory_matches_direct_integration() {
-        let network = ReactionNetwork::from_protocol(&Epidemic, &[true, false], 10).unwrap();
+        let network = epidemic_network();
         let informed = network.species().id(&true).unwrap() as usize;
         let mut x0 = vec![0.0; 2];
         x0[informed] = 0.1;
@@ -242,7 +236,7 @@ mod tests {
     }
 
     #[test]
-    fn ssa_and_ode_agree_for_large_n_circles() {
+    fn count_and_ode_agree_for_large_n_circles() {
         // A smoke-scale Kurtz check: n = 4096 should track the ODE to a few
         // percent in sup norm on a short horizon (full sweep is E13).
         let protocol = CirclesProtocol::new(2).unwrap();
@@ -254,23 +248,44 @@ mod tests {
         initial.insert(support[0], heavy);
         initial.insert(support[1], n - heavy);
         let times: Vec<f64> = (0..=10).map(|i| i as f64 * 0.4).collect();
-        let mut rng = StdRng::seed_from_u64(9);
-        let ssa = ssa_density_trajectory(&network, &initial, &mut rng, &times, 10_000_000).unwrap();
+        let count = count_density_trajectory(&network, &protocol, &initial, 9, &times).unwrap();
         let x0 = network.densities(&network.counts_from_config(&initial).unwrap());
         let ode = ode_density_trajectory(&network, x0, &times, 0.01).unwrap();
-        let d = ssa.sup_distance(&ode);
+        let d = count.sup_distance(&ode);
         assert!(d < 0.06, "sup distance {d} too large for n = 4096");
     }
 
     #[test]
     fn bad_grid_is_rejected() {
-        let network = ReactionNetwork::from_protocol(&Epidemic, &[true, false], 10).unwrap();
+        let network = epidemic_network();
         let initial: CountConfig<bool> = [true, false].into_iter().collect();
-        let mut rng = StdRng::seed_from_u64(1);
         let err =
-            ssa_density_trajectory(&network, &initial, &mut rng, &[1.0, 0.5], 10).unwrap_err();
+            count_density_trajectory(&network, &Epidemic, &initial, 1, &[1.0, 0.5]).unwrap_err();
         assert_eq!(err, CrnError::BadIntegrationParameter { name: "times" });
         let err2 = ode_density_trajectory(&network, vec![0.5, 0.5], &[f64::NAN], 0.1).unwrap_err();
         assert_eq!(err2, CrnError::BadIntegrationParameter { name: "times" });
+    }
+
+    #[test]
+    fn population_of_one_is_rejected() {
+        let protocol = CirclesProtocol::new(3).unwrap();
+        let support: Vec<_> = (0..3).map(|i| protocol.input(&Color(i))).collect();
+        let network = ReactionNetwork::from_protocol(&protocol, &support, 1_000).unwrap();
+        let single: CountConfig<CirclesState> =
+            [CirclesState::initial(Color(0))].into_iter().collect();
+        assert_eq!(
+            count_density_trajectory(&network, &protocol, &single, 1, &[0.0]).unwrap_err(),
+            CrnError::PopulationTooSmall { n: 1 }
+        );
+    }
+
+    #[test]
+    fn states_outside_the_closure_are_rejected() {
+        let network = ReactionNetwork::from_protocol(&Epidemic, &[false], 10).unwrap();
+        let initial: CountConfig<bool> = [true, false].into_iter().collect();
+        assert!(matches!(
+            count_density_trajectory(&network, &Epidemic, &initial, 1, &[0.0]),
+            Err(CrnError::UnknownSpecies { .. })
+        ));
     }
 }

@@ -396,7 +396,7 @@ where
             pool_total,
             hazard_rng,
             &mut quarantined,
-        );
+        )?;
         fired = idx + 1;
         last_hazard_step = engine.steps().max(hazard.at_step);
         changes_at_last_hazard = engine.stats().state_changes;

@@ -193,8 +193,9 @@ impl<P: Protocol> HazardOutcome<P> {
 ///
 /// # Errors
 ///
-/// Propagates non-budget framework errors; budget exhaustion is recorded as
-/// `stabilized == false`.
+/// Propagates non-budget framework errors, including a perturbation the
+/// engine rejects (an arrival past the `2^63 − 1` agent cap); budget
+/// exhaustion is recorded as `stabilized == false`.
 ///
 /// # Panics
 ///
@@ -237,7 +238,7 @@ where
             pool_total,
             hazard_rng,
             &mut quarantined,
-        );
+        )?;
         applied += 1;
         last_hazard_step = engine.steps().max(hazard.at_step);
         changes_at_last_hazard = engine.stats().state_changes;
@@ -273,7 +274,8 @@ pub(crate) fn apply_hazard<P, CS, A, R, H>(
     pool_total: u64,
     rng: &mut H,
     quarantined: &mut CountConfig<P::State>,
-) where
+) -> Result<(), FrameworkError>
+where
     P: Protocol,
     CS: CountScheduler<P::State>,
     A: Activity,
@@ -283,41 +285,42 @@ pub(crate) fn apply_hazard<P, CS, A, R, H>(
     match kind {
         HazardKind::Crash => {
             let Some(victim) = sample_victim(engine.counts(), engine.n(), rng) else {
-                return;
+                return Ok(());
             };
             let input = sample_pool(pool, pool_total, rng);
             let fresh = engine.protocol().input(&input);
             let victim_state = engine.known_states()[victim].clone();
-            engine.perturb_transfer(&victim_state, fresh, 1);
+            engine.perturb_transfer(&victim_state, fresh, 1)
         }
         HazardKind::Corrupt => {
             let Some(victim) = sample_victim(engine.counts(), engine.n(), rng) else {
-                return;
+                return Ok(());
             };
             let target = rng.random_range(0..engine.slots());
             let target_state = engine.known_states()[target].clone();
             let victim_state = engine.known_states()[victim].clone();
-            engine.perturb_transfer(&victim_state, target_state, 1);
+            engine.perturb_transfer(&victim_state, target_state, 1)
         }
         HazardKind::Stick => {
             let Some(victim) = sample_victim(engine.counts(), engine.n(), rng) else {
-                return;
+                return Ok(());
             };
             let victim_state = engine.known_states()[victim].clone();
-            engine.perturb_remove(&victim_state, 1);
+            engine.perturb_remove(&victim_state, 1)?;
             quarantined.insert(victim_state, 1);
+            Ok(())
         }
         HazardKind::Depart => {
             let Some(victim) = sample_victim(engine.counts(), engine.n(), rng) else {
-                return;
+                return Ok(());
             };
             let victim_state = engine.known_states()[victim].clone();
-            engine.perturb_remove(&victim_state, 1);
+            engine.perturb_remove(&victim_state, 1)
         }
         HazardKind::Arrive => {
             let input = sample_pool(pool, pool_total, rng);
             let fresh = engine.protocol().input(&input);
-            engine.perturb_add(fresh, 1);
+            engine.perturb_add(fresh, 1)
         }
     }
 }
@@ -713,6 +716,26 @@ mod tests {
         assert_eq!(outcome.final_n, 60);
         assert_eq!(outcome.observable_config().n(), 60);
         assert_eq!(engine.n(), 59);
+    }
+
+    #[test]
+    fn rejected_arrival_propagates_as_a_typed_error() {
+        let protocol = CirclesProtocol::new(2).unwrap();
+        let cap = (1u64 << 63) - 1;
+        let mut config = CountConfig::new();
+        config.insert(CirclesState::initial(Color(0)), cap as usize);
+        let mut engine = engine_from(&protocol, config, 1);
+        let mut plan = HazardPlan::new();
+        plan.push(Hazard {
+            at_step: 0,
+            kind: HazardKind::Arrive,
+        });
+        let mut rng = Philox4x32::stream(5, 15);
+        let pool = [(Color(0), 1)];
+        let err = run_with_hazards(&mut engine, &plan, &pool, &mut rng, u64::MAX).unwrap_err();
+        assert_eq!(err, FrameworkError::PopulationOverflow { n: cap, added: 1 });
+        assert_eq!(engine.audit(), Ok(()));
+        assert_eq!(engine.n(), cap);
     }
 
     #[test]

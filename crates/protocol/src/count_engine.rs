@@ -296,7 +296,7 @@ where
     /// refcount bump, so a sweep captures one snapshot per epoch and shares
     /// it across every trial of the epoch.
     ///
-    /// **Canonical slot order.** The snapshot never influences slot
+    /// **Canonical slot order.** The snapshot never affects slot
     /// numbering: slots are created exactly when (and in the order that) a
     /// cold run of the same generator would create them, and lookups return
     /// exactly what the protocol would. A warm run is therefore
@@ -933,26 +933,24 @@ where
     /// `to` may be a state the engine has never seen; its slot is discovered
     /// in the ordinary canonical order.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when `from` is unknown to the engine or holds fewer than
-    /// `amount` agents.
-    pub fn perturb_transfer(&mut self, from: &P::State, to: P::State, amount: u64) {
+    /// Returns [`FrameworkError::UnknownState`] when `from` is unknown to
+    /// the engine and [`FrameworkError::InsufficientAgents`] when it holds
+    /// fewer than `amount` agents. A rejected call changes nothing.
+    pub fn perturb_transfer(
+        &mut self,
+        from: &P::State,
+        to: P::State,
+        amount: u64,
+    ) -> Result<(), FrameworkError> {
         if amount == 0 {
-            return;
+            return Ok(());
         }
-        let from_slot = *self
-            .index
-            .get(from)
-            .expect("perturb_transfer from a state the engine has never seen");
-        assert!(
-            self.counts[from_slot] >= amount,
-            "perturb_transfer: state holds {} agents, asked to move {amount}",
-            self.counts[from_slot]
-        );
+        let from_slot = self.slot_holding(from, amount)?;
         let to_slot = self.ensure_slot(to);
         if to_slot == from_slot {
-            return;
+            return Ok(());
         }
         self.shift_output_mass(from_slot, to_slot, amount as usize);
         self.counts[from_slot] -= amount;
@@ -961,6 +959,7 @@ where
         self.activity.count_changed(to_slot, amount as i64);
         self.activity.settle(&self.counts);
         self.note_disagreement();
+        Ok(())
     }
 
     /// Adds `amount` fresh agents in `state` — the arrival half of churn.
@@ -968,19 +967,21 @@ where
     /// [`perturb_transfer`](Self::perturb_transfer) for the out-of-model
     /// bookkeeping contract.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when the grown population would exceed `2^63 − 1` agents.
-    pub fn perturb_add(&mut self, state: P::State, amount: u64) {
+    /// Returns [`FrameworkError::PopulationOverflow`] when the grown
+    /// population would exceed `2^63 − 1` agents. A rejected call changes
+    /// nothing.
+    pub fn perturb_add(&mut self, state: P::State, amount: u64) -> Result<(), FrameworkError> {
         if amount == 0 {
-            return;
+            return Ok(());
         }
-        let n = self
-            .n
-            .checked_add(amount)
-            .filter(|&n| n < 1 << 63)
-            .expect("perturb_add would exceed the 2^63 - 1 agent cap");
-        self.n = n;
+        self.n = self.n.checked_add(amount).filter(|&n| n < 1 << 63).ok_or(
+            FrameworkError::PopulationOverflow {
+                n: self.n,
+                added: amount,
+            },
+        )?;
         let slot = self.ensure_slot(state);
         *self
             .output_counts
@@ -990,6 +991,7 @@ where
         self.activity.count_changed(slot, amount as i64);
         self.activity.settle(&self.counts);
         self.note_disagreement();
+        Ok(())
     }
 
     /// Removes `amount` agents holding `state` from the population — the
@@ -998,22 +1000,15 @@ where
     /// shrinks. See [`perturb_transfer`](Self::perturb_transfer) for the
     /// out-of-model bookkeeping contract.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when `state` is unknown or holds fewer than `amount` agents.
-    pub fn perturb_remove(&mut self, state: &P::State, amount: u64) {
+    /// As [`perturb_transfer`](Self::perturb_transfer)'s `from`: unknown
+    /// states and over-large removals are rejected and change nothing.
+    pub fn perturb_remove(&mut self, state: &P::State, amount: u64) -> Result<(), FrameworkError> {
         if amount == 0 {
-            return;
+            return Ok(());
         }
-        let slot = *self
-            .index
-            .get(state)
-            .expect("perturb_remove of a state the engine has never seen");
-        assert!(
-            self.counts[slot] >= amount,
-            "perturb_remove: state holds {} agents, asked to remove {amount}",
-            self.counts[slot]
-        );
+        let slot = self.slot_holding(state, amount)?;
         self.n -= amount;
         let out = self
             .output_counts
@@ -1028,6 +1023,25 @@ where
         self.activity.count_changed(slot, -(amount as i64));
         self.activity.settle(&self.counts);
         self.note_disagreement();
+        Ok(())
+    }
+
+    /// The slot of `state`, provided it holds at least `amount` agents.
+    fn slot_holding(&self, state: &P::State, amount: u64) -> Result<usize, FrameworkError> {
+        let slot = *self
+            .index
+            .get(state)
+            .ok_or_else(|| FrameworkError::UnknownState {
+                state: format!("{state:?}"),
+            })?;
+        let held = self.counts[slot];
+        if held < amount {
+            return Err(FrameworkError::InsufficientAgents {
+                held,
+                requested: amount,
+            });
+        }
+        Ok(slot)
     }
 
     /// Moves `amount` agents from output class `outs[from]` to `outs[to]`.
@@ -1811,7 +1825,7 @@ mod tests {
         assert!(engine.is_silent());
         assert_eq!(engine.report().consensus, Some(4));
 
-        engine.perturb_transfer(&4u8, 0u8, 3);
+        engine.perturb_transfer(&4u8, 0u8, 3).unwrap();
         assert!(!engine.is_silent(), "perturbation re-armed activity");
         assert_eq!(engine.audit(), Ok(()));
         assert_eq!(engine.config().n(), 100, "transfer conserves agents");
@@ -1828,11 +1842,11 @@ mod tests {
     #[test]
     fn churn_perturbations_track_population_size() {
         let mut engine = CountEngine::from_inputs(&Max, &[1u8, 2, 3], 5);
-        engine.perturb_add(9, 4);
+        engine.perturb_add(9, 4).unwrap();
         assert_eq!(engine.n(), 7);
         assert_eq!(engine.config().n(), 7);
         assert_eq!(engine.audit(), Ok(()));
-        engine.perturb_remove(&9u8, 3);
+        engine.perturb_remove(&9u8, 3).unwrap();
         assert_eq!(engine.n(), 4);
         assert_eq!(engine.audit(), Ok(()));
         let out_total: usize = engine.output_counts().values().sum();
@@ -1845,7 +1859,7 @@ mod tests {
     fn perturb_to_unknown_state_discovers_its_slot() {
         let mut engine = CountEngine::from_inputs(&Max, &[1u8, 2], 3);
         assert_eq!(engine.slots(), 2);
-        engine.perturb_transfer(&1u8, 7u8, 1);
+        engine.perturb_transfer(&1u8, 7u8, 1).unwrap();
         assert_eq!(engine.slots(), 3, "target slot discovered");
         assert_eq!(engine.audit(), Ok(()));
         let report = engine.run_until_silent(u64::MAX).unwrap();
@@ -1856,19 +1870,73 @@ mod tests {
     fn zero_amount_perturbations_are_no_ops() {
         let mut engine = CountEngine::from_inputs(&Max, &[1u8, 2], 3);
         let mass = engine.mass();
-        engine.perturb_transfer(&1u8, 2u8, 0);
-        engine.perturb_add(9, 0);
-        engine.perturb_remove(&1u8, 0);
+        engine.perturb_transfer(&1u8, 2u8, 0).unwrap();
+        engine.perturb_add(9, 0).unwrap();
+        engine.perturb_remove(&1u8, 0).unwrap();
         assert_eq!(engine.mass(), mass);
         assert_eq!(engine.slots(), 2, "no slot discovered for amount 0");
         assert_eq!(engine.n(), 2);
     }
 
+    /// A rejected perturbation returns its typed error and leaves every
+    /// count, slot and index entry as it was.
+    fn assert_rejected_unchanged(
+        engine: &CountEngine<'_, Max>,
+        result: Result<(), FrameworkError>,
+        expected: FrameworkError,
+    ) {
+        assert_eq!(result, Err(expected));
+        assert_eq!(engine.audit(), Ok(()));
+        assert_eq!(engine.slots(), 2, "no slot discovered by a rejected call");
+        assert_eq!(engine.n(), 2);
+        assert_eq!(engine.counts(), &[1, 1]);
+    }
+
     #[test]
-    #[should_panic(expected = "asked to move")]
-    fn perturb_transfer_checks_available_mass() {
+    fn perturbing_an_unseen_state_is_a_typed_error() {
         let mut engine = CountEngine::from_inputs(&Max, &[1u8, 2], 3);
-        engine.perturb_transfer(&1u8, 2u8, 5);
+        let unknown = || FrameworkError::UnknownState { state: "5".into() };
+        let result = engine.perturb_transfer(&5u8, 7u8, 1);
+        assert_rejected_unchanged(&engine, result, unknown());
+        let result = engine.perturb_remove(&5u8, 1);
+        assert_rejected_unchanged(&engine, result, unknown());
+    }
+
+    #[test]
+    fn perturbing_more_agents_than_a_state_holds_is_a_typed_error() {
+        let mut engine = CountEngine::from_inputs(&Max, &[1u8, 2], 3);
+        let short = FrameworkError::InsufficientAgents {
+            held: 1,
+            requested: 2,
+        };
+        let result = engine.perturb_remove(&1u8, 2);
+        assert_rejected_unchanged(&engine, result, short.clone());
+        let result = engine.perturb_transfer(&1u8, 7u8, 2);
+        assert_rejected_unchanged(&engine, result, short);
+    }
+
+    #[test]
+    fn perturb_add_past_the_agent_cap_is_a_typed_error() {
+        let mut engine = CountEngine::from_inputs(&Max, &[1u8, 2], 3);
+        let added = (1u64 << 63) - 2;
+        let result = engine.perturb_add(9, added);
+        assert_rejected_unchanged(
+            &engine,
+            result,
+            FrameworkError::PopulationOverflow { n: 2, added },
+        );
+        let result = engine.perturb_add(9, u64::MAX);
+        assert_rejected_unchanged(
+            &engine,
+            result,
+            FrameworkError::PopulationOverflow {
+                n: 2,
+                added: u64::MAX,
+            },
+        );
+        engine.perturb_add(9, added - 1).unwrap();
+        assert_eq!(engine.n(), (1 << 63) - 1, "the cap itself is reachable");
+        assert_eq!(engine.audit(), Ok(()));
     }
 
     #[test]

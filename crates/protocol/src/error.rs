@@ -44,6 +44,26 @@ pub enum FrameworkError {
         /// Interactions executed when the run paused.
         steps: u64,
     },
+    /// A perturbation named a state the engine has never seen.
+    UnknownState {
+        /// Debug rendering of the offending state.
+        state: String,
+    },
+    /// A perturbation asked to move or remove more agents than a state
+    /// holds.
+    InsufficientAgents {
+        /// Agents holding the state.
+        held: u64,
+        /// Agents the perturbation asked for.
+        requested: u64,
+    },
+    /// A perturbation would grow the population past `2^63 − 1` agents.
+    PopulationOverflow {
+        /// Population size before the perturbation.
+        n: u64,
+        /// Agents the perturbation asked to add.
+        added: u64,
+    },
 }
 
 impl fmt::Display for FrameworkError {
@@ -69,6 +89,18 @@ impl fmt::Display for FrameworkError {
                     "run paused by its checkpoint hook after {steps} interactions"
                 )
             }
+            FrameworkError::UnknownState { state } => {
+                write!(f, "state {state} is not known to the engine")
+            }
+            FrameworkError::InsufficientAgents { held, requested } => {
+                write!(f, "state holds {held} agent(s), asked for {requested}")
+            }
+            FrameworkError::PopulationOverflow { n, added } => {
+                write!(
+                    f,
+                    "adding {added} agent(s) to {n} would exceed the 2^63 - 1 agent cap"
+                )
+            }
         }
     }
 }
@@ -89,6 +121,12 @@ mod tests {
             FrameworkError::MaxStepsExceeded { max_steps: 10 },
             FrameworkError::TraceParse("bad line".into()),
             FrameworkError::Interrupted { steps: 5 },
+            FrameworkError::UnknownState { state: "7".into() },
+            FrameworkError::InsufficientAgents {
+                held: 1,
+                requested: 5,
+            },
+            FrameworkError::PopulationOverflow { n: 3, added: 9 },
         ];
         for e in errors {
             let msg = e.to_string();

@@ -1,13 +1,14 @@
-//! Chemical kinetics: Circles as an explicit reaction network, simulated
-//! exactly (Gillespie) and in the fluid limit (mean-field ODE).
+//! Chemical kinetics: Circles as an explicit reaction network, sampled
+//! exactly (count engine) and in the fluid limit (mean-field ODE).
 //!
 //! Where the `chemical_energy` example reads a discrete run through the
 //! energy lens, this one builds the *actual chemistry*: species = reachable
 //! Circles states, reactions = productive collisions `A + B → A' + B'`. It
 //! then
 //!
-//! 1. simulates the continuous-time Markov chain exactly with a Gillespie
-//!    SSA (time in parallel units — one unit ≈ `n` interactions),
+//! 1. samples the uniform-pair chain exactly with the count engine (time
+//!    in parallel units — one unit = `n` interactions; a continuous-time
+//!    Gillespie clock agrees in mean, up to `O(1/√n)` fluctuations),
 //! 2. integrates the law-of-mass-action ODE the densities converge to as
 //!    `n → ∞` (Kurtz's theorem),
 //! 3. prints both trajectories side by side along with the closed-form
@@ -19,13 +20,8 @@
 //! ```
 
 use circles::core::{prediction, weight, CirclesProtocol, CirclesState, Color};
-use circles::crn::{
-    ode_density_trajectory, ssa_density_trajectory, MeanField, ReactionNetwork,
-    StochasticSimulation,
-};
-use circles::protocol::{CountConfig, Protocol};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use circles::crn::{count_density_trajectory, ode_density_trajectory, MeanField, ReactionNetwork};
+use circles::protocol::{parallel_time, CountConfig, CountEngine, Protocol};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let k = 3u16;
@@ -50,8 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Side-by-side densities on a coarse grid.
     let times: Vec<f64> = (0..=8).map(f64::from).collect();
-    let mut rng = StdRng::seed_from_u64(7);
-    let ssa = ssa_density_trajectory(&network, &initial, &mut rng, &times, u64::MAX)?;
+    let sampled = count_density_trajectory(&network, &protocol, &initial, 7, &times)?;
     let x0 = network.densities(&network.counts_from_config(&initial)?);
     let ode = ode_density_trajectory(&network, x0.clone(), &times, 0.01)?;
 
@@ -70,13 +65,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .sum()
     };
 
-    println!("\n  t    energy(SSA)  energy(ODE)  self-loops(SSA)  self-loops(ODE)");
+    println!("\n  t    energy(run)  energy(ODE)  self-loops(run)  self-loops(ODE)");
     for (i, &t) in times.iter().enumerate() {
         println!(
             "{t:>4.1}  {:>10.4}  {:>10.4}  {:>14.4}  {:>14.4}",
-            energy(&ssa.rows[i]),
+            energy(&sampled.rows[i]),
             energy(&ode.rows[i]),
-            selfloops(&ssa.rows[i]),
+            selfloops(&sampled.rows[i]),
             selfloops(&ode.rows[i]),
         );
     }
@@ -84,20 +79,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "\nenergy floor k·p_max = {:.2}; Kurtz sup-distance at n = {n}: {:.4}",
         f64::from(k) * p_max,
-        ssa.sup_distance(&ode)
+        sampled.sup_distance(&ode)
     );
 
     // Drive the stochastic system to silence and check Lemma 3.6.
-    let mut sim = StochasticSimulation::new(&network, &initial)?;
-    let report = sim.run_until_silent(&mut rng, u64::MAX);
+    let mut engine = CountEngine::from_config(&protocol, initial, 7);
+    let report = engine.run_until_silent(u64::MAX)?;
     let inputs: Vec<Color> = (0..k as usize)
         .flat_map(|i| std::iter::repeat_n(Color(i as u16), counts[i]))
         .collect();
     let predicted = prediction::predicted_brakets(&inputs, k)?;
-    let terminal = prediction::braket_config(&sim.config());
+    let terminal = prediction::braket_config(&engine.config());
     println!(
-        "\nSSA silent after {} reactions ({:.2} parallel-time units)",
-        report.reactions, report.time
+        "\ncount engine silent after {} state changes ({:.2} parallel-time units)",
+        report.state_changes,
+        parallel_time(report.steps_to_silence, n)
     );
     println!(
         "terminal bra-kets match Lemma 3.6 prediction: {}",

@@ -5,23 +5,25 @@
 //! circles predict  --counts 50,30,20 [--k 3]
 //! circles verify   --counts 3,2,1    [--k 3] [--full]
 //! circles state-space --k 4
-//! circles kinetics --counts 500,300,200 [--k 3] [--seed 7] [--t-end 10]
+//! circles kinetics --counts 500,300,200 [--k 3] [--seed 7] [--t-end 10] [--max-steps N]
 //! circles topology --counts 20,12,4 [--graph cycle] [--seed 7] [--max-steps N]
 //! ```
 //!
 //! `--counts c0,c1,…` gives the multiplicity of each color; `--k` defaults
-//! to the number of counts provided. Argument parsing is hand-rolled (the
-//! workspace keeps its dependency set minimal).
+//! to the number of counts provided; `--max-steps` caps the interactions a
+//! run may take, in every subcommand that runs one (`kinetics` included).
+//! Argument parsing is hand-rolled (the workspace keeps its dependency set
+//! minimal).
 
 use std::process::ExitCode;
 
 use circles::core::prediction::{self, predicted_brakets, self_loop_colors};
 use circles::core::{weight, CirclesProtocol, CirclesState, Color, GreedyDecomposition};
-use circles::crn::{MeanField, ReactionNetwork, StochasticSimulation};
+use circles::crn::{MeanField, ReactionNetwork};
 use circles::mc::circles::{verify_circles_full, verify_circles_instance};
 use circles::mc::ExploreLimits;
 use circles::protocol::{
-    parallel_time, CountConfig, EnumerableProtocol, Population, Protocol, Simulation,
+    parallel_time, CountConfig, CountEngine, EnumerableProtocol, Population, Protocol, Simulation,
     UniformPairScheduler,
 };
 use circles::schedulers::{ClusteredScheduler, RoundRobinScheduler, ShuffledRoundsScheduler};
@@ -45,7 +47,7 @@ const USAGE: &str = "usage:
   circles predict     --counts c0,c1,...  [--k K]
   circles verify      --counts c0,c1,...  [--k K] [--full]
   circles state-space --k K
-  circles kinetics    --counts c0,c1,...  [--k K] [--seed S] [--t-end T]
+  circles kinetics    --counts c0,c1,...  [--k K] [--seed S] [--t-end T] [--max-steps N]
   circles topology    --counts c0,c1,...  [--k K] [--graph complete|cycle|path|star|grid|regular] [--seed S] [--max-steps N]";
 
 /// Parsed common options.
@@ -330,19 +332,27 @@ fn cmd_kinetics(opts: &Options) -> Result<(), String> {
         network.reaction_count()
     );
 
+    // The exact uniform-pair chain; parallel time = interactions / n.
     let initial: CountConfig<CirclesState> = inputs.iter().map(|c| protocol.input(c)).collect();
-    let mut sim = StochasticSimulation::new(&network, &initial).map_err(|e| e.to_string())?;
-    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(opts.seed);
-    let report = sim.run_until_silent(&mut rng, opts.max_steps);
-    let energy = sim.observe(|s| f64::from(weight(opts.k, s.braket)));
+    let mut engine = CountEngine::from_config(&protocol, initial.clone(), opts.seed);
+    let report = engine
+        .run_until_silent(opts.max_steps)
+        .map_err(|e| e.to_string())?;
+    let terminal = engine.config();
+    let energy = terminal
+        .iter()
+        .map(|(s, c)| f64::from(weight(opts.k, s.braket)) * c as f64)
+        .sum::<f64>()
+        / n as f64;
     println!(
-        "SSA: {} reactions, {:.2} parallel-time units, silent = {}, final energy/agent = {energy:.4}",
-        report.reactions, report.time, report.silent
+        "count engine: {} state changes, silent after {:.2} parallel-time units, final energy/agent = {energy:.4}",
+        report.state_changes,
+        parallel_time(report.steps_to_silence, n)
     );
     let predicted = predicted_brakets(&inputs, opts.k).map_err(|e| e.to_string())?;
     println!(
         "terminal bra-kets match Lemma 3.6: {}",
-        prediction::braket_config(&sim.config()) == predicted
+        prediction::braket_config(&terminal) == predicted
     );
 
     let field = MeanField::new(&network);
@@ -500,6 +510,21 @@ mod tests {
         assert!((opts.t_end - 3.5).abs() < 1e-12);
         assert!(parse_options(&strs(&["--counts", "4,2", "--t-end", "-1"])).is_err());
         assert!(parse_options(&strs(&["--counts", "4,2", "--t-end", "x"])).is_err());
+    }
+
+    #[test]
+    fn kinetics_max_steps_caps_interactions() {
+        let run = |max_steps: &str| {
+            run_cli(&strs(&[
+                "kinetics",
+                "--counts",
+                "6,3,2",
+                "--max-steps",
+                max_steps,
+            ]))
+        };
+        assert!(run("1").is_err(), "one interaction cannot silence 6,3,2");
+        assert!(run("1000000").is_ok());
     }
 
     #[test]

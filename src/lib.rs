@@ -14,8 +14,9 @@
 //! - [`extensions`] — paper §4 extensions (ordering, unordered setting,
 //!   ties, fault injection).
 //! - [`analysis`] — experiment harness, statistics, figures.
-//! - [`crn`] — the chemical-reaction-network view: exact Gillespie
-//!   simulation and the mean-field ODE (the paper's "chemical settings").
+//! - [`crn`] — the chemical-reaction-network view: the reaction network,
+//!   its mean-field ODE and count-engine density trajectories (the paper's
+//!   "chemical settings").
 //! - [`topology`] — restricted interaction graphs and edge-fair schedulers.
 //!
 //! # Quickstart

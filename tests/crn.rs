@@ -1,14 +1,17 @@
-//! Integration tests for the chemical-reaction-network view: the SSA and
-//! the mean-field ODE must agree with the discrete engines and with the
-//! paper's predicted terminal configuration (Lemma 3.6).
+//! Integration tests for the chemical-reaction-network view: stochastic
+//! runs of the network (the count engine's exact uniform-pair chain, timed
+//! in parallel time) and the mean-field ODE must agree with the paper's
+//! predicted terminal configuration (Lemma 3.6) and with closed forms.
 
 use circles::core::{prediction, weight, CirclesProtocol, CirclesState, Color};
-use circles::crn::{MeanField, ReactionNetwork, StochasticSimulation};
-use circles::protocol::{CountConfig, CountEngine, Protocol};
+use circles::crn::{MeanField, ReactionNetwork};
+use circles::protocol::{parallel_time, CountConfig, CountEngine, Protocol};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+
+/// Interaction budget for runs that must silence; Circles on these small
+/// instances silences orders of magnitude sooner.
+const BUDGET: u64 = 10_000_000;
 
 fn setup(
     k: u16,
@@ -36,15 +39,15 @@ fn ssa_terminal_brakets_match_prediction_across_instances() {
         (5, &[0, 0, 0, 1, 2, 2, 3, 4, 4, 4, 4]),
     ];
     for &(k, inputs) in instances {
-        let (_, network, initial, colors) = setup(k, inputs);
+        let (protocol, _, initial, colors) = setup(k, inputs);
         let predicted = prediction::predicted_brakets(&colors, k).unwrap();
         for seed in 0..5 {
-            let mut sim = StochasticSimulation::new(&network, &initial).unwrap();
-            let mut rng = StdRng::seed_from_u64(seed);
-            let report = sim.run_until_silent(&mut rng, 1_000_000);
-            assert!(report.silent, "k={k} seed={seed} did not silence");
+            let mut engine = CountEngine::from_config(&protocol, initial.clone(), seed);
+            engine
+                .run_until_silent(BUDGET)
+                .unwrap_or_else(|e| panic!("k={k} seed={seed}: {e}"));
             assert_eq!(
-                prediction::braket_config(&sim.config()),
+                prediction::braket_config(&engine.config()),
                 predicted,
                 "k={k} seed={seed}: terminal bra-kets differ from Lemma 3.6"
             );
@@ -52,39 +55,59 @@ fn ssa_terminal_brakets_match_prediction_across_instances() {
     }
 }
 
-/// The SSA's embedded jump chain is the discrete uniform-pair chain
-/// conditioned on productive steps, so the *number of state changes* must
-/// have the same distribution in both engines. Compare means over many
-/// seeds.
+/// Two-state epidemic: any informed participant informs the other.
+struct Epidemic;
+
+impl Protocol for Epidemic {
+    type State = bool;
+    type Input = bool;
+    type Output = bool;
+    fn name(&self) -> &str {
+        "epidemic"
+    }
+    fn input(&self, i: &bool) -> bool {
+        *i
+    }
+    fn output(&self, s: &bool) -> bool {
+        *s
+    }
+    fn transition(&self, a: &bool, b: &bool) -> (bool, bool) {
+        let informed = *a || *b;
+        (informed, informed)
+    }
+}
+
+/// Parallel time (`steps_to_silence / n`) keeps the continuous-time clock's
+/// mean. With `i` informed agents an interaction is productive with
+/// probability `2i(n−i)/(n(n−1))`, so the expected interactions per
+/// productive step are `n(n−1)/(2i(n−i))` and
+/// `E[T] = Σ_{i=1}^{n−1} (n−1)/(2i(n−i))` exactly.
 #[test]
-fn ssa_jump_chain_agrees_with_counting_engine() {
-    let k = 3u16;
-    let inputs: &[u16] = &[0, 0, 0, 0, 1, 1, 1, 2, 2];
-    let (protocol, network, initial, colors) = setup(k, inputs);
-    let trials = 300u64;
-
-    let mut ssa_changes = 0.0;
+fn epidemic_completion_time_matches_analytic_expectation() {
+    let n = 32usize;
+    let expected: f64 = (1..n)
+        .map(|i| (n - 1) as f64 / (2.0 * i as f64 * (n - i) as f64))
+        .sum();
+    let initial: CountConfig<bool> = std::iter::once(true)
+        .chain(std::iter::repeat_n(false, n - 1))
+        .collect();
+    let trials = 600u64;
+    let mut acc = 0.0;
     for seed in 0..trials {
-        let mut sim = StochasticSimulation::new(&network, &initial).unwrap();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let report = sim.run_until_silent(&mut rng, 1_000_000);
-        assert!(report.silent);
-        ssa_changes += report.reactions as f64;
+        let mut engine = CountEngine::from_config(&Epidemic, initial.clone(), seed);
+        let report = engine.run_until_silent(BUDGET).unwrap();
+        assert_eq!(
+            report.state_changes,
+            n as u64 - 1,
+            "one infection per change"
+        );
+        acc += parallel_time(report.steps_to_silence, n);
     }
-    let ssa_mean = ssa_changes / trials as f64;
-
-    let mut discrete_changes = 0.0;
-    for seed in 0..trials {
-        let mut engine = CountEngine::from_inputs(&protocol, &colors, 1_000 + seed);
-        let report = engine.run_until_silent(1_000_000).unwrap();
-        discrete_changes += report.state_changes as f64;
-    }
-    let discrete_mean = discrete_changes / trials as f64;
-
-    let rel = (ssa_mean - discrete_mean).abs() / discrete_mean;
+    let mean = acc / trials as f64;
+    let rel = (mean - expected).abs() / expected;
     assert!(
-        rel < 0.05,
-        "productive-step means diverge: SSA {ssa_mean} vs discrete {discrete_mean} ({rel:.3})"
+        rel < 0.08,
+        "mean {mean} vs expected {expected} (rel err {rel})"
     );
 }
 
@@ -136,8 +159,8 @@ fn ode_consensus_density_lands_on_winner() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random no-tie instances: the SSA silences and reaches consensus on
-    /// the plurality winner (Theorem 3.7 transported to continuous time).
+    /// Random no-tie instances: every stochastic run silences and reaches
+    /// consensus on the plurality winner (Theorem 3.7).
     #[test]
     fn ssa_always_correct_on_random_instances(
         counts in pvec(0usize..6, 3),
@@ -154,31 +177,26 @@ proptest! {
             .enumerate()
             .flat_map(|(c, &n)| std::iter::repeat_n(c as u16, n))
             .collect();
-        let (protocol, network, initial, _) = setup(3, &inputs);
-        let mut sim = StochasticSimulation::new(&network, &initial).unwrap();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let report = sim.run_until_silent(&mut rng, 1_000_000);
-        prop_assert!(report.silent);
-        prop_assert_eq!(sim.config().output_consensus(&protocol), Some(Color(0)));
+        let (protocol, _, initial, _) = setup(3, &inputs);
+        let mut engine = CountEngine::from_config(&protocol, initial, seed);
+        let report = engine.run_until_silent(BUDGET);
+        prop_assert!(report.is_ok(), "did not silence: {report:?}");
+        prop_assert_eq!(engine.config().output_consensus(&protocol), Some(Color(0)));
     }
 
     /// Mass and the bra/ket conservation law survive arbitrary prefixes of
-    /// SSA runs.
+    /// stochastic runs.
     #[test]
     fn ssa_preserves_mass_and_conservation(
-        steps in 0u64..200,
+        steps in 0u64..2_000,
         seed in 0u64..1_000,
     ) {
-        let (_, network, initial, _) = setup(4, &[0, 0, 1, 1, 2, 3, 3]);
-        let mut sim = StochasticSimulation::new(&network, &initial).unwrap();
-        let mut rng = StdRng::seed_from_u64(seed);
-        for _ in 0..steps {
-            if sim.step(&mut rng).is_none() {
-                break;
-            }
-        }
-        prop_assert_eq!(sim.counts().iter().sum::<u64>(), 7);
-        let brakets = prediction::braket_config(&sim.config());
+        let (protocol, _, initial, _) = setup(4, &[0, 0, 1, 1, 2, 3, 3]);
+        let mut engine = CountEngine::from_config(&protocol, initial, seed);
+        engine.advance_to(steps).unwrap();
+        prop_assert_eq!(engine.counts().iter().sum::<u64>(), 7);
+        prop_assert_eq!(engine.audit(), Ok(()));
+        let brakets = prediction::braket_config(&engine.config());
         prop_assert!(circles::core::invariants::conservation_holds(&brakets, 4));
     }
 }

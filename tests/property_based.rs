@@ -23,14 +23,12 @@ use circles::core::prediction::{
     braket_config_of_population, is_exchange_stable, predicted_brakets,
 };
 use circles::core::{invariants, CirclesProtocol, Color, GreedyDecomposition};
-use circles::crn::{ssa_density_trajectory, ReactionNetwork};
+use circles::crn::{count_density_trajectory, ReactionNetwork};
 use circles::protocol::{
     CountConfig, CountEngine, Population, Protocol, Simulation, UniformPairScheduler,
 };
 use circles::schedulers::ShuffledRoundsScheduler;
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Random instance: 2..=10 agents over 1..=5 colors.
 fn instance() -> impl Strategy<Value = (Vec<u16>, u16)> {
@@ -239,9 +237,7 @@ proptest! {
         let initial: CountConfig<_> =
             raw.iter().map(|&c| protocol.input(&Color(c))).collect();
         let times = [0.0, 0.5, 1.5, 4.0];
-        let mut rng = StdRng::seed_from_u64(seed);
-        let traj =
-            ssa_density_trajectory(&network, &initial, &mut rng, &times, 100_000).unwrap();
+        let traj = count_density_trajectory(&network, &protocol, &initial, seed, &times).unwrap();
         for row in &traj.rows {
             let total: f64 = row.iter().sum();
             prop_assert!((total - 1.0).abs() < 1e-9, "row mass {total}");
