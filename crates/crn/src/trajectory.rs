@@ -67,9 +67,11 @@ impl DensityTrajectory {
 /// # Errors
 ///
 /// Returns [`CrnError::BadIntegrationParameter`] when `times` is not
-/// non-decreasing or not finite, [`CrnError::UnknownSpecies`] /
-/// [`CrnError::EmptyPopulation`] when `initial` does not fit `network`, and
-/// [`CrnError::PopulationTooSmall`] when it holds fewer than two agents.
+/// non-decreasing or not finite, [`CrnError::EmptyPopulation`] when
+/// `initial` is empty, [`CrnError::PopulationTooSmall`] when it holds fewer
+/// than two agents, and [`CrnError::UnknownSpecies`] when `initial` or the
+/// run reaches a state outside `network`'s species (a network built for
+/// another protocol or instance).
 pub fn count_density_trajectory<P: Protocol>(
     network: &ReactionNetwork<P::State>,
     protocol: &P,
@@ -89,9 +91,9 @@ pub fn count_density_trajectory<P: Protocol>(
         engine
             .advance_to((t * n as f64).round() as u64)
             .expect("population has at least two agents");
-        let counts = network
-            .counts_from_config(&engine.config())
-            .expect("the species closure covers every reachable state");
+        // A network built for another protocol or instance can miss a
+        // reachable state; that is an `UnknownSpecies` error, not a panic.
+        let counts = network.counts_from_config(&engine.config())?;
         rows.push(network.densities(&counts));
     }
     Ok(DensityTrajectory {
@@ -276,6 +278,40 @@ mod tests {
         assert_eq!(
             count_density_trajectory(&network, &protocol, &single, 1, &[0.0]).unwrap_err(),
             CrnError::PopulationTooSmall { n: 1 }
+        );
+    }
+
+    /// Every interaction moves the responder up one level, to at most `.0`.
+    struct Climb(u8);
+    impl pp_protocol::Protocol for Climb {
+        type State = u8;
+        type Input = u8;
+        type Output = u8;
+        fn name(&self) -> &str {
+            "climb"
+        }
+        fn input(&self, i: &u8) -> u8 {
+            *i
+        }
+        fn output(&self, s: &u8) -> u8 {
+            *s
+        }
+        fn transition(&self, a: &u8, b: &u8) -> (u8, u8) {
+            (*a, (*b + 1).min(self.0))
+        }
+    }
+
+    #[test]
+    fn a_network_for_another_protocol_is_a_typed_error() {
+        // `Climb(0)`'s network has the single species 0; `Climb(3)` leaves
+        // it with its first interaction.
+        let network = ReactionNetwork::from_protocol(&Climb(0), &[0u8], 10).unwrap();
+        let initial: CountConfig<u8> = [0u8, 0].into_iter().collect();
+        assert_eq!(
+            count_density_trajectory(&network, &Climb(3), &initial, 1, &[0.0, 1.0]).unwrap_err(),
+            CrnError::UnknownSpecies {
+                state: "1".to_string()
+            }
         );
     }
 
