@@ -24,10 +24,13 @@
 //! any store without needing a protocol — for v2 stores including the
 //! quotient statistics (representatives, orbit factor, v1-vs-v2 bytes). `verify` loads the store
 //! (checksum + fingerprint + structural validation, zero protocol calls —
-//! a v2 store is expanded through the group action on the way in), then
-//! *audits* it by re-deriving pair activity and memoized outcomes through
-//! the protocol's own transition function, the one check loading
-//! deliberately skips.
+//! a v2 store stays in orbit form, its rows checked against the group
+//! action on the way in), then *audits* it by re-deriving pair activity and
+//! memoized outcomes through the protocol's own transition function, the
+//! one check loading deliberately skips. Last it runs one warm
+//! margin-workload run from the loaded table (`n = 10⁴`, seed 0) and checks
+//! that it elects the true winner and reports exactly what the cold run of
+//! the same seed reports.
 //!
 //! Exit status: `0` on success, `1` on any store error, `2` on usage
 //! errors.
@@ -40,7 +43,12 @@ use pp_analysis::table_cache::TableCache;
 use pp_analysis::trial::{Backend, TrialRunner};
 use pp_analysis::workloads::{margin_workload, true_winner};
 use pp_protocol::transition_store::{self, StoreMeta};
-use pp_protocol::{CountConfig, CountEngine, EnumerableProtocol, Protocol, TransitionTable};
+use pp_protocol::{
+    CompactActivity, CountConfig, CountEngine, EnumerableProtocol, Protocol, TransitionTable,
+    UniformCountScheduler,
+};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 const USAGE: &str = "usage:
   table_store build   --k K [--n N] [--seeds S] [--full] [--format v1|v2]
@@ -155,7 +163,7 @@ fn build(args: &[String]) -> Result<(), Failure> {
     let table = if full {
         // The entire k³ state space. With the color-orbit quotient this
         // costs O(k⁵) transition calls (one bra-0 representative per
-        // orbit, the rest expanded mechanically); without one, fall back
+        // orbit, the rest derived mechanically); without one, fall back
         // to priming a cold engine — O(k⁶) classifications, halved by
         // symmetry.
         match pp_protocol::quotient_table(&protocol) {
@@ -236,5 +244,44 @@ fn verify(args: &[String]) -> Result<(), Failure> {
         "audit:       ok ({} state(s), {} pair(s) re-classified, {} outcome(s) re-derived)",
         report.states, report.pairs_checked, report.outcomes_checked
     );
+
+    // One warm run from the loaded table against the cold run of the same
+    // seed: every slot the warm engine materializes from the table must
+    // give the draws cold discovery gives.
+    let inputs = margin_workload(WARM_N, k, WARM_N / 10);
+    let expected = true_winner(&inputs, k);
+    let run = |table: Option<&TransitionTable<CirclesProtocol>>| {
+        let config: CountConfig<_> = inputs.iter().map(|i| protocol.input(i)).collect();
+        let (scheduler, rng) = (UniformCountScheduler::new(), StdRng::seed_from_u64(0));
+        let mut engine: CountEngine<'_, _, _, CompactActivity> = match table {
+            Some(table) => {
+                CountEngine::with_snapshot_rng(&protocol, config, scheduler, rng, table.snapshot())
+            }
+            None => CountEngine::with_rng(&protocol, config, scheduler, rng),
+        };
+        engine
+            .run_until_silent(u64::MAX)
+            .map_err(|e| Failure::Store(format!("warm check run did not reach silence: {e}")))
+    };
+    let warm = run(Some(&table))?;
+    if warm.consensus != Some(expected) {
+        return Err(Failure::Store(format!(
+            "warm run elected {:?}, the true winner is {expected}",
+            warm.consensus
+        )));
+    }
+    let cold = run(None)?;
+    if warm != cold {
+        return Err(Failure::Store(format!(
+            "warm run {warm:?} differs from the cold run {cold:?}"
+        )));
+    }
+    println!(
+        "warm run:    ok (n = {WARM_N}, seed 0: {} change(s) to {expected}, identical to the cold run)",
+        warm.state_changes
+    );
     Ok(())
 }
+
+/// Population of the warm check run `verify` makes from a loaded store.
+const WARM_N: usize = 10_000;

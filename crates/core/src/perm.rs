@@ -10,7 +10,7 @@
 //! function of rotation *orbits* of state pairs rather than of concrete
 //! pairs. [`CirclesColorQuotient`] packages that symmetry as a
 //! [`StateQuotient`] so the discovery engine classifies one canonical
-//! representative per orbit and expands the rest mechanically.
+//! representative per orbit and derives the rest mechanically.
 //!
 //! General (non-rotation) color permutations do **not** preserve the
 //! ordered protocol — the weight function reads cyclic *distances*, not

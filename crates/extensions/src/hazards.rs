@@ -239,6 +239,7 @@ where
             hazard_rng,
             &mut quarantined,
         )?;
+        debug_assert_eq!(engine.audit(), Ok(()));
         applied += 1;
         last_hazard_step = engine.steps().max(hazard.at_step);
         changes_at_last_hazard = engine.stats().state_changes;

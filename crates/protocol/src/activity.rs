@@ -508,7 +508,21 @@ impl AdjRows {
     /// corrupts this row's iteration, never memory safety. The row must
     /// still be empty.
     pub fn set_row_varint(&mut self, i: usize, count: u32, last: u32, payload: &[u8]) {
-        let slots = self.rows.len();
+        self.set_row_payload(i, count, last, payload, self.rows.len());
+    }
+
+    /// [`set_row_varint`](Self::set_row_varint) for rows whose ids range
+    /// over `columns` states rather than over [`slots`](Self::slots) — the
+    /// representative rows of an orbit-form quotient table, which hold one
+    /// row per orbit but address every state.
+    pub(crate) fn set_row_payload(
+        &mut self,
+        i: usize,
+        count: u32,
+        last: u32,
+        payload: &[u8],
+        columns: usize,
+    ) {
         debug_assert_eq!(self.rows[i].bytes(), 0, "row {i} must be empty");
         self.pairs += count as usize;
         let row = CompactRow::Sparse {
@@ -516,8 +530,8 @@ impl AdjRows {
             last,
             len: count,
         };
-        self.rows[i] = if count > 0 && payload.len() > slots / 8 + 8 {
-            let mut blocks = vec![0u64; slots.div_ceil(64)];
+        self.rows[i] = if count > 0 && payload.len() > columns / 8 + 8 {
+            let mut blocks = vec![0u64; columns.div_ceil(64)];
             row.walk(|j| {
                 blocks[j as usize / 64] |= 1 << (j % 64);
                 true
@@ -546,6 +560,36 @@ impl AdjRows {
         self.rows[i] = CompactRow::Dense { blocks, len };
     }
 
+    /// Adopts row `i` from a bitset over `columns` ids, in the
+    /// representation incremental pushes over `columns` slots end in: the
+    /// bitset itself when the delta-varint payload would outgrow the
+    /// densify threshold, the payload otherwise. The row must still be
+    /// empty.
+    pub(crate) fn set_row_bits(&mut self, i: usize, blocks: Vec<u64>, columns: usize) {
+        let len: u32 = blocks.iter().map(|w| w.count_ones()).sum();
+        let threshold = columns / 8 + 8;
+        // Every id costs at least one payload byte.
+        if len as usize <= threshold {
+            let mut payload = Vec::new();
+            let mut last = 0u32;
+            for (w, &word) in blocks.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let j = (w as u32) * 64 + bits.trailing_zeros();
+                    let gap = if payload.is_empty() { j } else { j - last };
+                    push_varint(&mut payload, gap);
+                    last = j;
+                    bits &= bits - 1;
+                }
+            }
+            if payload.len() <= threshold {
+                self.set_row_payload(i, len, last, &payload, columns);
+                return;
+            }
+        }
+        self.set_row_dense(i, blocks, len);
+    }
+
     /// Borrows row `i`'s stored representation — the zero-copy view
     /// [`save`](crate::transition_store::save) persists. Which variant a
     /// row uses is a pure function of its contents (see
@@ -559,6 +603,13 @@ impl AdjRows {
                 len: *len,
             },
             CompactRow::Dense { blocks, len } => RowRepr::Dense { blocks, len: *len },
+        }
+    }
+
+    /// Number of ids in row `i`.
+    pub(crate) fn row_len(&self, i: usize) -> usize {
+        match &self.rows[i] {
+            CompactRow::Sparse { len, .. } | CompactRow::Dense { len, .. } => *len as usize,
         }
     }
 

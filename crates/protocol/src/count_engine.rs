@@ -41,7 +41,7 @@ use crate::protocol::Protocol;
 use crate::run_checkpoint::{CheckpointError, ResumableRng, RunCheckpoint};
 use crate::scheduler::{CountScheduler, CountView, UniformCountScheduler};
 use crate::simulation::{RunReport, SimStats};
-use crate::transition_table::{Segment, TableSnapshot, TransitionTable};
+use crate::transition_table::{Rows, Segment, TableSnapshot, TransitionTable};
 
 /// Count-based, change-point-batched simulation engine.
 ///
@@ -1225,7 +1225,7 @@ where
         Some(Segment::new(
             base,
             states,
-            rows,
+            Rows::Flat(rows),
             ext,
             outcomes,
             self.symmetric,

@@ -110,7 +110,7 @@ pub use scheduler::{
     UniformPairScheduler,
 };
 pub use simulation::{RunReport, SimStats, Simulation, StepReport};
-pub use time::{parallel_time, GillespieClock};
+pub use time::parallel_time;
 pub use trace::InteractionTrace;
 pub use transition_store::{AuditReport, QuotientStats, StoreError, StoreMeta};
 pub use transition_table::{TableDump, TableSnapshot, TransitionTable};

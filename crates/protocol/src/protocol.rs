@@ -78,7 +78,7 @@ pub trait Protocol {
     /// Protocols that return one let bulk full-table builds
     /// ([`quotient_table`](crate::quotient_table)) and the `.ppts` v2
     /// store classify a single canonical representative per orbit and
-    /// expand the rest mechanically — for Circles (invariant under
+    /// derive the rest mechanically — for Circles (invariant under
     /// rotations of its `k` colors) this cuts full-table discovery from
     /// `O(k⁶)` to `O(k⁵)` transition calls.
     /// [`CountEngine`](crate::CountEngine) discovery ignores it and

@@ -10,25 +10,28 @@
 //! Circles rotation quotient lives in `circles_core`), and the quotient is
 //! used in one way: **in bulk** ([`quotient_table`]). Full-table discovery
 //! classifies the rows of the `|S| / |G|` canonical representatives through
-//! the protocol and expands every other row mechanically through the group
-//! action — zero further protocol calls. This is what makes Circles
-//! `k = 50` (125 000 states, ~10¹⁰ ordered pairs) buildable in seconds,
-//! and it is the in-memory half of the `.ppts` v2 store format (see
-//! [`transition_store`](crate::transition_store)).
+//! the protocol; every other row is the image of its representative's
+//! row under the group action — zero further protocol calls. The table
+//! keeps that **orbit form** in memory (`OrbitRows`: representative rows,
+//! a `(representative, g)` pair per state, one id permutation per group
+//! element) and hands out a row by scattering its representative's row
+//! through `g`, so it is never expanded. This is what makes Circles
+//! `k = 50` (125 000 states, ~10¹⁰ ordered pairs) buildable in seconds
+//! and ~65 MB in memory, and it is the in-memory form of the `.ppts` v2
+//! store format (see [`transition_store`](crate::transition_store)).
 //!
 //! [`CountEngine`](crate::CountEngine) discovery does not consult the
 //! quotient: for Circles, one transition call is a few color comparisons,
 //! which is cheaper than canonicalizing the pair and probing a memo.
 
-use std::collections::hash_map::Entry;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::Hash;
 
-use crate::activity::AdjRows;
+use crate::activity::{AdjRows, RowRepr};
 use crate::hashing::FxBuildHasher;
 use crate::protocol::EnumerableProtocol;
-use crate::transition_table::TransitionTable;
+use crate::transition_table::{Rows, TransitionTable};
 
 /// A finite group action on a protocol's states under which the transition
 /// function is equivariant.
@@ -45,7 +48,7 @@ use crate::transition_table::TransitionTable;
 ///   mapping it back onto the argument.
 ///
 /// Everything the bulk builder and the store do with a quotient — orbit
-/// expansion, the v2 store format — is correct exactly when this contract
+/// images, the v2 store format — is correct exactly when this contract
 /// holds; `circles_core` verifies it exhaustively for small `k` and the
 /// property suite cross-checks quotient-discovered tables against brute
 /// force.
@@ -91,8 +94,9 @@ impl std::error::Error for QuotientError {}
 /// Builds the **full** transition table of an enumerable protocol through
 /// its color quotient: the rows of the `|S| / |G|` canonical
 /// representatives are classified with protocol transition calls, and
-/// every other row is expanded mechanically through the group action —
-/// zero further protocol calls.
+/// every other row is their image under the group action — zero further
+/// protocol calls. The table keeps that **orbit form** in memory: one row
+/// per representative plus the action, never one row per state.
 ///
 /// The result is bit-identical to priming a cold
 /// [`CountEngine`](crate::CountEngine) with
@@ -120,271 +124,412 @@ where
     for (t, s) in states.iter().enumerate() {
         index.insert(s, t as u32);
     }
-
-    // Orbit decomposition: per state its representative's tid and the
-    // group element mapping the representative onto it.
-    let mut rep_of: Vec<(u32, u32)> = Vec::with_capacity(slots);
-    let mut rep_index: HashMap<u32, u32, FxBuildHasher> =
-        HashMap::with_hasher(FxBuildHasher::default());
-    let mut reps: Vec<u32> = Vec::new();
-    for s in &states {
-        let (canon, g) = quotient.canonical_state(s);
-        let &rep_tid = index.get(&canon).ok_or_else(|| {
-            QuotientError::NotClosed(format!(
-                "canonical representative {canon:?} is not an enumerated state"
-            ))
-        })?;
-        if quotient.apply(g, &canon) != *s {
-            return Err(QuotientError::NotClosed(format!(
-                "apply(g, canonical) does not recover {s:?}"
-            )));
-        }
-        rep_index.entry(rep_tid).or_insert_with(|| {
-            reps.push(rep_tid);
-            reps.len() as u32 - 1
-        });
-        rep_of.push((rep_tid, g));
-    }
+    let orbits = Orbits::of_states(
+        quotient,
+        |s| index.get(s).copied(),
+        |t| &states[t as usize],
+        slots,
+    )
+    .map_err(QuotientError::NotClosed)?;
+    drop(index);
 
     // Classify the representatives' rows through the protocol — the only
     // transition calls of the whole build. For swap-equivariant protocols
     // (`is_symmetric`) the bill is halved again: once representative `j`'s
     // row is known, the activity of `(rep_i, g·rep_j)` for any later `i`
-    // is `active(rep_j, g⁻¹·rep_i)` — a bit lookup, not a transition call.
+    // is `active(rep_j, g⁻¹·rep_i)` — a bit test in row `j`, not a
+    // transition call. Rows are classified as bitsets, so that test is
+    // O(1) whatever the row's final form, and each then moves into the
+    // table's rows.
     let symmetric = protocol.is_symmetric();
-    let row_words = slots.div_ceil(64);
-    let mut rep_rows: Vec<Vec<u32>> = Vec::with_capacity(reps.len());
-    let mut rep_bits: Vec<Vec<u64>> = Vec::new();
-    // inv_perms[g][t] = tid of the state `g` maps onto `states[t]`.
-    let mut inv_perms: HashMap<u32, Vec<u32>, FxBuildHasher> =
-        HashMap::with_hasher(FxBuildHasher::default());
-    for (i, &rt) in reps.iter().enumerate() {
+    let preimages = if symmetric {
+        orbits.rep_preimages()
+    } else {
+        Vec::new()
+    };
+    let n_reps = orbits.rep_tids.len();
+    let mut built: Vec<Vec<u64>> = Vec::with_capacity(n_reps);
+    for (i, &rt) in orbits.rep_tids.iter().enumerate() {
         let rs = &states[rt as usize];
-        let mut row: Vec<u32> = Vec::new();
-        for t in 0..slots as u32 {
-            let (rb_tid, g) = rep_of[t as usize];
-            let j = rep_index[&rb_tid] as usize;
-            let active = if symmetric && j < i {
-                if let Entry::Vacant(e) = inv_perms.entry(g) {
-                    let mut inv = vec![u32::MAX; slots];
-                    for (src, s) in states.iter().enumerate() {
-                        let image = quotient.apply(g, s);
-                        let &it = index.get(&image).ok_or_else(|| {
-                            QuotientError::NotClosed(format!(
-                                "group element {g} maps {s:?} outside the state set"
-                            ))
-                        })?;
-                        inv[it as usize] = src as u32;
-                    }
-                    e.insert(inv);
-                }
-                let src = inv_perms[&g][rt as usize];
-                if src == u32::MAX {
-                    return Err(QuotientError::NotClosed(format!(
-                        "group element {g} does not act bijectively on the state set"
-                    )));
-                }
-                rep_bits[j][src as usize / 64] >> (src % 64) & 1 == 1
+        let mut bits = vec![0u64; slots.div_ceil(64)];
+        for (t, &(j, g)) in orbits.rep_of.iter().enumerate() {
+            let active = if symmetric && (j as usize) < i {
+                let u = preimages[g as usize * n_reps + i] as usize;
+                built[j as usize][u / 64] >> (u % 64) & 1 == 1
             } else {
-                !protocol.is_null_interaction(rs, &states[t as usize])
+                !protocol.is_null_interaction(rs, &states[t])
             };
-            if active {
-                row.push(t);
-            }
+            bits[t / 64] |= u64::from(active) << (t % 64);
         }
-        if symmetric {
-            let mut bits = vec![0u64; row_words];
-            for &t in &row {
-                bits[t as usize / 64] |= 1 << (t % 64);
-            }
-            rep_bits.push(bits);
-        }
-        rep_rows.push(row);
+        built.push(bits);
     }
-    drop(inv_perms);
-    drop(rep_bits);
-
-    let rows = expand_orbit_rows(quotient, &states, &index, &rep_of, &rep_index, &rep_rows)
-        .map_err(QuotientError::NotClosed)?;
+    let mut reps = AdjRows::new();
+    for (i, bits) in built.into_iter().enumerate() {
+        reps.push_slot();
+        reps.set_row_bits(i, bits, slots);
+    }
     Ok(TransitionTable::from_parts(
         states,
-        rows,
+        Rows::Orbit(OrbitRows::new(orbits, reps)),
         HashMap::with_hasher(FxBuildHasher::default()),
-        protocol.is_symmetric(),
+        symmetric,
     ))
 }
 
-/// Expands per-representative out-rows into the full [`AdjRows`] through
-/// the group action: row of `apply(g, rep)` is the image of `rep`'s row
-/// under the tid-level permutation of `g`. Shared between
-/// [`quotient_table`] and the `.ppts` v2 loader. `rep_of[tid]` is
-/// `(rep_tid, g)`; `rep_index` maps a representative's tid to its index in
-/// `rep_rows`.
-///
-/// Rows land in the same representation the incremental discovery path
-/// would produce: delta-varint lists while small, blocked bitsets past the
-/// [`CompactAdj`](crate::CompactAdj) densify threshold.
-pub(crate) fn expand_orbit_rows<S, Q>(
-    quotient: &Q,
-    states: &[S],
-    index: &HashMap<&S, u32, FxBuildHasher>,
-    rep_of: &[(u32, u32)],
-    rep_index: &HashMap<u32, u32, FxBuildHasher>,
-    rep_rows: &[Vec<u32>],
-) -> Result<AdjRows, String>
-where
-    S: Clone + Eq + Hash + fmt::Debug,
-    Q: StateQuotient<S> + ?Sized,
-{
-    let slots = states.len();
-    let mut rows = AdjRows::new();
-    for _ in 0..slots {
-        rows.push_slot();
-    }
-    let mut images = OrbitImages::new(quotient, index, slots, |t| &states[t as usize]);
-    let outside = |g: u32, t: u32| {
-        format!(
-            "group element {g} maps {:?} outside the state set",
-            states[t as usize]
-        )
-    };
-    let threshold = slots / 8 + 8;
-    let row_words = slots.div_ceil(64);
-    let mut scratch: Vec<u32> = Vec::new();
-    for (tid, &(rep_tid, g)) in rep_of.iter().enumerate() {
-        let r = rep_index
-            .get(&rep_tid)
-            .copied()
-            .ok_or_else(|| format!("state {tid} names an unlisted representative"))?;
-        let rep_row = rep_rows
-            .get(r as usize)
-            .ok_or_else(|| format!("representative index {r} out of range"))?;
-        if tid as u32 == rep_tid {
-            // The representative's own row: already in ascending tid order.
-            set_sorted_row(&mut rows, tid, rep_row, threshold, row_words);
-            continue;
-        }
-        if rep_row.len() > threshold {
-            // A sparse encoding cannot fit (≥ 1 byte per id): go straight
-            // to the bitset, which needs no sort.
-            let mut blocks = vec![0u64; row_words];
-            images
-                .scatter(g, rep_row, &mut blocks)
-                .map_err(|t| outside(g, t))?;
-            rows.set_row_dense(tid, blocks, rep_row.len() as u32);
-        } else {
-            let perm = images.perm(g).map_err(|t| outside(g, t))?;
-            scratch.clear();
-            scratch.extend(rep_row.iter().map(|&t| perm[t as usize]));
-            scratch.sort_unstable();
-            set_sorted_row(&mut rows, tid, &scratch, threshold, row_words);
-        }
-    }
-    Ok(rows)
+/// The orbit decomposition of a state list together with the group action
+/// on its ids: everything an orbit-form table holds besides the
+/// representatives' rows.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct Orbits {
+    /// Ids of the orbit representatives, ascending.
+    rep_tids: Vec<u32>,
+    /// Per state: the index into `rep_tids` of its representative and the
+    /// group element mapping the representative onto it.
+    rep_of: Vec<(u32, u32)>,
+    /// `perms[g][t]` is the id of `apply(g, state(t))`; empty for the
+    /// elements no state names.
+    perms: Vec<Vec<u32>>,
 }
 
-/// The orbit image of a row: the tid-level permutation of each group
-/// element, built lazily on first use (`perm(g)[t]` is the tid of
-/// `apply(g, state(t))`), and the scatter of a row through it. The one
-/// place this image is computed — [`expand_orbit_rows`] and the `.ppts` v2
-/// writer's coherence check
-/// ([`save_quotient`](crate::transition_store::save_quotient)) share it, so
-/// the loader and the writer cannot disagree on what a row's orbit image
-/// is.
-pub(crate) struct OrbitImages<'a, S, Q: ?Sized, F> {
-    quotient: &'a Q,
-    index: &'a HashMap<&'a S, u32, FxBuildHasher>,
-    slots: usize,
-    state: F,
-    perms: HashMap<u32, Vec<u32>, FxBuildHasher>,
-}
-
-impl<'a, S, Q, F> OrbitImages<'a, S, Q, F>
-where
-    S: Eq + Hash + 'a,
-    Q: StateQuotient<S> + ?Sized,
-    F: Fn(u32) -> &'a S,
-{
-    /// Images over the `slots` states `state(0..slots)`, whose tids
-    /// `index` maps back.
-    pub(crate) fn new(
-        quotient: &'a Q,
-        index: &'a HashMap<&'a S, u32, FxBuildHasher>,
+impl Orbits {
+    /// Decomposes the `slots` states `state(0..slots)`, whose ids `tid`
+    /// looks up, into orbits under `quotient`, each represented by its
+    /// [canonical state](StateQuotient::canonical_state). `Err` names the
+    /// state or element that breaks the quotient's contract on this set.
+    pub(crate) fn of_states<'a, S, Q>(
+        quotient: &Q,
+        tid: impl Fn(&S) -> Option<u32>,
+        state: impl Fn(u32) -> &'a S,
         slots: usize,
-        state: F,
-    ) -> Self {
-        OrbitImages {
-            quotient,
-            index,
-            slots,
-            state,
-            perms: HashMap::with_hasher(FxBuildHasher::default()),
+    ) -> Result<Self, String>
+    where
+        S: Eq + fmt::Debug + 'a,
+        Q: StateQuotient<S> + ?Sized,
+    {
+        let mut rep_of = Vec::with_capacity(slots);
+        for t in 0..slots as u32 {
+            let s = state(t);
+            let (canon, g) = quotient.canonical_state(s);
+            let rep = tid(&canon)
+                .ok_or_else(|| format!("state {t} ({s:?}) canonicalizes outside the state set"))?;
+            rep_of.push((rep, g));
         }
+        let mut rep_tids: Vec<u32> = rep_of.iter().map(|&(r, _)| r).collect();
+        rep_tids.sort_unstable();
+        rep_tids.dedup();
+        for (r, _) in &mut rep_of {
+            *r = rep_tids.partition_point(|&x| x < *r) as u32;
+        }
+        Self::from_parts(quotient, tid, state, rep_tids, rep_of)
     }
 
-    /// The tid-level permutation of `g`, or `Err(t)` naming a state `g`
-    /// maps outside the state set.
-    fn perm(&mut self, g: u32) -> Result<&[u32], u32> {
-        match self.perms.entry(g) {
-            Entry::Occupied(e) => Ok(e.into_mut()),
-            Entry::Vacant(e) => {
-                let mut perm = Vec::with_capacity(self.slots);
-                for t in 0..self.slots as u32 {
-                    let image = self.quotient.apply(g, (self.state)(t));
-                    perm.push(*self.index.get(&image).ok_or(t)?);
+    /// Orbits as a `.ppts` v2 store records them: `rep_tids` ascending,
+    /// `rep_of[t]` an in-range `(representative index, element)` pair.
+    /// Checks that every element recovers its state from its
+    /// representative and builds each named element's id permutation.
+    pub(crate) fn from_parts<'a, S, Q>(
+        quotient: &Q,
+        tid: impl Fn(&S) -> Option<u32>,
+        state: impl Fn(u32) -> &'a S,
+        rep_tids: Vec<u32>,
+        rep_of: Vec<(u32, u32)>,
+    ) -> Result<Self, String>
+    where
+        S: Eq + fmt::Debug + 'a,
+        Q: StateQuotient<S> + ?Sized,
+    {
+        let order = quotient.group_order() as usize;
+        let slots = rep_of.len();
+        let mut perms = vec![Vec::new(); order];
+        let mut hit = vec![0u64; slots.div_ceil(64)];
+        for (t, &(r, g)) in rep_of.iter().enumerate() {
+            let rep = rep_tids[r as usize];
+            if g as usize >= order || quotient.apply(g, state(rep)) != *state(t as u32) {
+                return Err(format!(
+                    "group element {g} does not map representative {rep} onto state {t}"
+                ));
+            }
+            if !perms[g as usize].is_empty() {
+                continue;
+            }
+            hit.fill(0);
+            let mut perm = Vec::with_capacity(slots);
+            for u in 0..slots as u32 {
+                let m = tid(&quotient.apply(g, state(u))).ok_or_else(|| {
+                    format!(
+                        "group element {g} maps state {u} ({:?}) outside the state set",
+                        state(u)
+                    )
+                })? as usize;
+                if hit[m / 64] >> (m % 64) & 1 == 1 {
+                    return Err(format!(
+                        "group element {g} does not act bijectively on the state set"
+                    ));
                 }
-                Ok(e.insert(perm))
+                hit[m / 64] |= 1 << (m % 64);
+                perm.push(m as u32);
+            }
+            perms[g as usize] = perm;
+        }
+        Ok(Orbits {
+            rep_tids,
+            rep_of,
+            perms,
+        })
+    }
+
+    /// Ids of the orbit representatives, ascending.
+    pub(crate) fn rep_tids(&self) -> &[u32] {
+        &self.rep_tids
+    }
+
+    /// Per state, its `(representative index, group element)` pair.
+    pub(crate) fn rep_of(&self) -> &[(u32, u32)] {
+        &self.rep_of
+    }
+
+    /// Whether state `t` is an orbit representative.
+    pub(crate) fn is_rep(&self, t: u32) -> bool {
+        self.rep_tids[self.rep_of[t as usize].0 as usize] == t
+    }
+
+    /// `pre[g · reps + r]` is the id `g` maps onto representative `r`, for
+    /// every element some state names (`u32::MAX` for the others).
+    fn rep_preimages(&self) -> Vec<u32> {
+        let n = self.rep_tids.len();
+        let mut rep_at = vec![u32::MAX; self.rep_of.len()];
+        for (r, &t) in self.rep_tids.iter().enumerate() {
+            rep_at[t as usize] = r as u32;
+        }
+        let mut pre = vec![u32::MAX; self.perms.len() * n];
+        for (g, perm) in self.perms.iter().enumerate() {
+            for (x, &y) in perm.iter().enumerate() {
+                let r = rep_at[y as usize];
+                if r != u32::MAX {
+                    pre[g * n + r as usize] = x as u32;
+                }
             }
         }
+        pre
     }
 
-    /// ORs the image of `row` under `g` into the bitset `blocks` — no sort,
-    /// whatever order `row` is in. `Err(t)` as for [`perm`](Self::perm).
-    pub(crate) fn scatter(&mut self, g: u32, row: &[u32], blocks: &mut [u64]) -> Result<(), u32> {
-        let perm = self.perm(g)?;
-        for &t in row {
-            let m = perm[t as usize] as usize;
+    /// ORs the image under `g` of row `r` of `rows` into `blocks`: the one
+    /// place an orbit image is computed.
+    fn scatter(&self, g: u32, rows: &AdjRows, r: u32, blocks: &mut [u64]) {
+        let perm = &self.perms[g as usize];
+        rows.walk(r as usize, |u| {
+            let m = perm[u] as usize;
             blocks[m / 64] |= 1 << (m % 64);
-        }
-        Ok(())
+            true
+        });
     }
 }
 
-/// Installs `ids` (ascending) as row `tid`, choosing the same sparse/dense
-/// representation the incremental path would.
-fn set_sorted_row(rows: &mut AdjRows, tid: usize, ids: &[u32], threshold: usize, row_words: usize) {
-    if ids.is_empty() {
-        return;
-    }
-    if ids.len() > threshold {
-        let mut blocks = vec![0u64; row_words];
-        for &m in ids {
-            blocks[m as usize / 64] |= 1 << (m % 64);
+thread_local! {
+    /// The row-sized bitset [`OrbitRows`] scatters images into, one per
+    /// thread and all-zero between walks. A walk takes it for its
+    /// duration, so a re-entrant walk allocates its own.
+    static IMAGE: Cell<Vec<u64>> = const { Cell::new(Vec::new()) };
+}
+
+/// A quotient table's rows in orbit form — the only in-memory form of a
+/// table built by [`quotient_table`] or loaded from a `.ppts` v2 store: an
+/// out-row per orbit representative, a `(representative, g)` pair per
+/// state and the id permutation of each group element ([`Orbits`]).
+/// Equivariance, `active(a, b) ⇔ active(g·a, g·b)`, makes row `g·r` the
+/// image of row `r` under `g`; readers get it scattered into a reused
+/// row-sized bitset, so it still comes out ascending. For `k = 50` Circles
+/// this is ~40 MB of representative rows and ~25 MB of permutations where
+/// the expanded table takes ~2 GB.
+#[derive(Debug)]
+pub(crate) struct OrbitRows {
+    orbits: Orbits,
+    /// Out-row of each representative, in `rep_tids` order; ids range over
+    /// every state.
+    reps: AdjRows,
+    /// In-row of each representative, for asymmetric adjacencies (see
+    /// [`with_in_rows`](Self::with_in_rows)).
+    rep_ins: Option<AdjRows>,
+    /// Active ordered pairs over every state.
+    pairs: usize,
+}
+
+impl OrbitRows {
+    /// Orbit-form rows from `reps`, the representatives' out-rows in
+    /// `orbits.rep_tids()` order.
+    pub(crate) fn new(orbits: Orbits, reps: AdjRows) -> Self {
+        let pairs = orbits
+            .rep_of
+            .iter()
+            .map(|&(r, _)| reps.row_len(r as usize))
+            .sum();
+        OrbitRows {
+            orbits,
+            reps,
+            rep_ins: None,
+            pairs,
         }
-        rows.set_row_dense(tid, blocks, ids.len() as u32);
-        return;
     }
-    let mut payload = Vec::with_capacity(ids.len() * 2);
-    let mut prev = 0u32;
-    for (n, &m) in ids.iter().enumerate() {
-        let delta = if n == 0 { m } else { m - prev };
-        let mut v = delta;
-        while v >= 0x80 {
-            payload.push((v as u8 & 0x7F) | 0x80);
-            v >>= 7;
+
+    /// Derives the representatives' in-rows, once, for asymmetric
+    /// adjacencies: `(x, b)` with `x = g·a` is active iff `(a, g⁻¹·b)` is,
+    /// so each state `x` settles its bit in every in-row `b` with one bit
+    /// test in representative `a`'s stored out-row — no expansion. Every
+    /// other in-row follows as `in(g·b) = g·in(b)`. (Walking each stored
+    /// pair `(a, h·b)` once and recording `h⁻¹·a` would miss in-neighbours
+    /// whenever `b` has a non-trivial stabilizer.)
+    pub(crate) fn with_in_rows(mut self) -> Self {
+        let slots = self.orbits.rep_of.len();
+        let row_words = slots.div_ceil(64);
+        let n = self.orbits.rep_tids.len();
+        let pre = self.orbits.rep_preimages();
+        // States grouped by orbit, so each out-row is unpacked once.
+        let mut by_orbit: Vec<u32> = (0..slots as u32).collect();
+        by_orbit.sort_by_key(|&x| self.orbits.rep_of[x as usize].0);
+        let mut ins = vec![vec![0u64; row_words]; n];
+        let mut out = vec![0u64; row_words];
+        let mut unpacked = None;
+        for x in by_orbit {
+            let (a, g) = self.orbits.rep_of[x as usize];
+            if unpacked != Some(a) {
+                out.fill(0);
+                self.reps.walk(a as usize, |u| {
+                    out[u / 64] |= 1 << (u % 64);
+                    true
+                });
+                unpacked = Some(a);
+            }
+            for (b, row) in ins.iter_mut().enumerate() {
+                let u = pre[g as usize * n + b] as usize;
+                row[x as usize / 64] |= (out[u / 64] >> (u % 64) & 1) << (x % 64);
+            }
         }
-        payload.push(v as u8);
-        prev = m;
+        let mut rows = AdjRows::new();
+        for (b, bits) in ins.into_iter().enumerate() {
+            rows.push_slot();
+            rows.set_row_bits(b, bits, slots);
+        }
+        self.rep_ins = Some(rows);
+        self
     }
-    // `set_row_varint` densifies by the shared threshold policy itself
-    // when the payload turns out too large.
-    rows.set_row_varint(tid, ids.len() as u32, prev, &payload);
+
+    /// The orbit decomposition and group action.
+    pub(crate) fn orbits(&self) -> &Orbits {
+        &self.orbits
+    }
+
+    /// Active ordered pairs over every state.
+    pub(crate) fn pairs(&self) -> usize {
+        self.pairs
+    }
+
+    /// Heap bytes of the representative rows and permutations.
+    pub(crate) fn bytes(&self) -> usize {
+        self.reps.bytes()
+            + self
+                .orbits
+                .perms
+                .iter()
+                .map(|p| p.capacity() * 4)
+                .sum::<usize>()
+    }
+
+    /// Number of active responders of state `t`.
+    pub(crate) fn row_len(&self, t: u32) -> usize {
+        self.reps.row_len(self.orbits.rep_of[t as usize].0 as usize)
+    }
+
+    /// Whether `(i, j)` is active: `(g⁻¹·i, g⁻¹·j) = (r, g⁻¹·j)`, looked up
+    /// in `O(1)` on the diagonal and for representatives, by a scan of
+    /// row `r` otherwise.
+    pub(crate) fn contains(&self, i: u32, j: u32) -> bool {
+        let (r, g) = self.orbits.rep_of[i as usize];
+        let rep = self.orbits.rep_tids[r as usize];
+        if i == j || i == rep {
+            return self
+                .reps
+                .contains(r as usize, if i == j { rep } else { j } as usize);
+        }
+        let perm = &self.orbits.perms[g as usize];
+        let mut found = false;
+        self.reps.walk(r as usize, |u| {
+            found = perm[u] == j;
+            !found
+        });
+        found
+    }
+
+    /// Visits row `t` (its active responders), ascending, while `f`
+    /// returns `true`.
+    pub(crate) fn walk_out(&self, t: u32, f: impl FnMut(usize) -> bool) {
+        self.walk_image(&self.reps, t, f);
+    }
+
+    /// Visits column `t` (its active initiators), ascending, while `f`
+    /// returns `true`. Requires [`with_in_rows`](Self::with_in_rows) unless
+    /// the adjacency is symmetric.
+    pub(crate) fn walk_in(&self, t: u32, f: impl FnMut(usize) -> bool) {
+        self.walk_image(self.rep_ins.as_ref().unwrap_or(&self.reps), t, f);
+    }
+
+    fn walk_image(&self, rows: &AdjRows, t: u32, mut f: impl FnMut(usize) -> bool) {
+        let (r, g) = self.orbits.rep_of[t as usize];
+        if self.orbits.is_rep(t) {
+            rows.walk(r as usize, f);
+            return;
+        }
+        IMAGE.with(|cell| {
+            let mut image = cell.take();
+            image.resize(self.orbits.rep_of.len().div_ceil(64), 0);
+            self.orbits.scatter(g, rows, r, &mut image);
+            'walk: for (w, &word) in image.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    if !f(w * 64 + bits.trailing_zeros() as usize) {
+                        break 'walk;
+                    }
+                    bits &= bits - 1;
+                }
+            }
+            image.fill(0);
+            cell.set(image);
+        });
+    }
+
+    /// Row `t` in a stored representation, for the store writers: a
+    /// representative's row borrowed, any other row scattered into
+    /// `scratch`.
+    pub(crate) fn row<'a>(&'a self, t: u32, scratch: &'a mut Vec<u64>) -> RowRepr<'a> {
+        let (r, g) = self.orbits.rep_of[t as usize];
+        if self.orbits.is_rep(t) {
+            return self.reps.row_repr(r as usize);
+        }
+        scratch.clear();
+        scratch.resize(self.orbits.rep_of.len().div_ceil(64), 0);
+        self.orbits.scatter(g, &self.reps, r, scratch);
+        RowRepr::Dense {
+            blocks: scratch,
+            len: self.reps.row_len(r as usize) as u32,
+        }
+    }
+
+    /// Representative `r`'s out-row, as the v2 store persists it.
+    pub(crate) fn rep_row(&self, r: usize) -> RowRepr<'_> {
+        self.reps.row_repr(r)
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
     use super::*;
     use crate::protocol::Protocol;
+    use crate::transition_table::TableSnapshot;
+    use crate::{CountConfig, CountEngine, UniformCountScheduler};
 
     /// A toy protocol invariant under rotation of `Z_m` (`m` even):
     /// partners at odd cyclic distance exchange states, everyone else
@@ -518,7 +663,7 @@ mod tests {
         }
         TransitionTable::from_parts(
             states,
-            rows,
+            Rows::Flat(rows),
             HashMap::with_hasher(FxBuildHasher::default()),
             true,
         )
@@ -564,7 +709,7 @@ mod tests {
             let snap = table.snapshot();
             assert_eq!(
                 matches!(
-                    snap.flat_rows().row_repr(t),
+                    snap.row(t as u32, &mut Vec::new()),
                     crate::activity::RowRepr::Dense { .. }
                 ),
                 dense,
@@ -604,6 +749,179 @@ mod tests {
             }
             other => panic!("expected a quotient error, got {other:?}"),
         }
+    }
+
+    /// An asymmetric toy invariant under rotation of `Z_m`, with a fixed
+    /// point: only the initiator moves. A rotating state `a < m` copies a
+    /// responder `b < m` at cyclic distance `b − a ∈ {1, 2, 3}`; the hub
+    /// `m` (fixed by every rotation, so its stabilizer is the whole group)
+    /// absorbs every rotating initiator and is overwritten by every
+    /// rotating responder. `(a, a + 1)` is active, `(a + 1, a)` is not.
+    #[derive(Debug)]
+    struct Chase {
+        m: u8,
+        quotient: ChaseQuotient,
+        calls: std::cell::Cell<u64>,
+    }
+
+    #[derive(Debug)]
+    struct ChaseQuotient {
+        m: u8,
+    }
+
+    impl StateQuotient<u8> for ChaseQuotient {
+        fn group_order(&self) -> u32 {
+            u32::from(self.m)
+        }
+
+        fn apply(&self, g: u32, state: &u8) -> u8 {
+            if *state == self.m {
+                return self.m;
+            }
+            ((u32::from(*state) + g) % u32::from(self.m)) as u8
+        }
+
+        fn canonical_state(&self, state: &u8) -> (u8, u32) {
+            if *state == self.m {
+                (self.m, 0)
+            } else {
+                (0, u32::from(*state))
+            }
+        }
+    }
+
+    impl Protocol for Chase {
+        type State = u8;
+        type Input = u8;
+        type Output = u8;
+
+        fn name(&self) -> &str {
+            "chase"
+        }
+
+        fn input(&self, i: &u8) -> u8 {
+            *i % (self.m + 1)
+        }
+
+        fn output(&self, s: &u8) -> u8 {
+            *s
+        }
+
+        fn transition(&self, a: &u8, b: &u8) -> (u8, u8) {
+            self.calls.set(self.calls.get() + 1);
+            let (m, hub) = (u16::from(self.m), self.m);
+            match (*a == hub, *b == hub) {
+                (false, false) => {
+                    let d = (u16::from(*b) + m - u16::from(*a)) % m;
+                    if (1..=3).contains(&d) {
+                        (*b, *b)
+                    } else {
+                        (*a, *b)
+                    }
+                }
+                (false, true) => (hub, hub),
+                (true, false) => (*b, *b),
+                (true, true) => (hub, hub),
+            }
+        }
+
+        fn color_quotient(&self) -> Option<&dyn StateQuotient<u8>> {
+            Some(&self.quotient)
+        }
+    }
+
+    impl EnumerableProtocol for Chase {
+        fn states(&self) -> Vec<u8> {
+            (0..=self.m).collect()
+        }
+    }
+
+    /// Row and column `t` of `snap`, as walked.
+    fn walked(snap: &TableSnapshot<u8>, t: u32) -> (Vec<u32>, Vec<u32>) {
+        let (mut out, mut ins) = (Vec::new(), Vec::new());
+        snap.walk_out(t, |j| {
+            out.push(j as u32);
+            true
+        });
+        snap.walk_in(t, |i| {
+            ins.push(i as u32);
+            true
+        });
+        (out, ins)
+    }
+
+    #[test]
+    fn asymmetric_orbit_rows_match_brute_force_and_round_trip() {
+        let m = 10u8;
+        let p = Chase {
+            m,
+            quotient: ChaseQuotient { m },
+            calls: std::cell::Cell::new(0),
+        };
+        assert!(!p.is_symmetric());
+        let q = p.color_quotient().unwrap();
+        for (a, b) in (0..=m).flat_map(|a| (0..=m).map(move |b| (a, b))) {
+            let (x, y) = p.transition(&a, &b);
+            for g in 0..u32::from(m) {
+                let image = p.transition(&q.apply(g, &a), &q.apply(g, &b));
+                assert_eq!(
+                    image,
+                    (q.apply(g, &x), q.apply(g, &y)),
+                    "fixture not equivariant"
+                );
+            }
+        }
+        let table = quotient_table(&p).unwrap();
+        let snap = table.snapshot();
+        let n = u32::from(m) + 1;
+        assert_eq!(snap.len(), n as usize);
+        let active = |i: u32, j: u32| !p.is_null_interaction(&(i as u8), &(j as u8));
+        for t in 0..n {
+            let out: Vec<u32> = (0..n).filter(|&j| active(t, j)).collect();
+            let ins: Vec<u32> = (0..n).filter(|&i| active(i, t)).collect();
+            assert_eq!(walked(&snap, t), (out, ins), "state {t}");
+            for j in 0..n {
+                assert_eq!(snap.contains(t, j), active(t, j), "pair ({t}, {j})");
+            }
+        }
+        // The hub's in-row holds every rotating state, though only one
+        // stored pair, (0, hub), points at it.
+        assert_eq!(walked(&snap, n - 1).1.len(), usize::from(m));
+
+        let path = std::env::temp_dir().join(format!("pp-chase-{}.ppts", std::process::id()));
+        let meta = crate::transition_store::save_quotient(&table, &p, &path).unwrap();
+        assert_eq!(meta.quotient.map(|q| q.reps), Some(2));
+        let calls = p.calls.get();
+        let loaded = crate::transition_store::load(&p, &path);
+        let _ = std::fs::remove_file(&path);
+        let loaded = loaded.unwrap();
+        assert_eq!(p.calls.get(), calls, "loading makes no protocol calls");
+        assert_eq!(loaded.dump(), table.dump());
+        let reloaded = loaded.snapshot();
+        for t in 0..n {
+            assert_eq!(walked(&reloaded, t), walked(&snap, t), "state {t}");
+        }
+
+        // A warm replay from the loaded table draws exactly what a cold
+        // engine draws.
+        let inputs: Vec<u8> = (0..40u8).map(|i| i % (m + 1)).collect();
+        let run = |snapshot: Option<Arc<TableSnapshot<u8>>>| {
+            let config: CountConfig<u8> = inputs.iter().map(|i| p.input(i)).collect();
+            let rng = StdRng::seed_from_u64(5);
+            let mut engine: CountEngine<'_, Chase> = match snapshot {
+                Some(snap) => CountEngine::with_snapshot_rng(
+                    &p,
+                    config,
+                    UniformCountScheduler::new(),
+                    rng,
+                    snap,
+                ),
+                None => CountEngine::with_rng(&p, config, UniformCountScheduler::new(), rng),
+            };
+            let _ = engine.run_until_silent(200_000);
+            engine.report()
+        };
+        assert_eq!(run(Some(reloaded)), run(None));
     }
 
     #[test]

@@ -1,21 +1,9 @@
-//! Continuous-time views of an execution.
+//! Continuous-time view of an execution.
 //!
-//! Two time scales are standard in the population-protocol and chemical
-//! reaction network literature:
-//!
-//! - **parallel time**: interactions divided by `n` — the unit in which
-//!   "each agent participates in O(1) interactions per time unit";
-//! - **Gillespie time**: the stochastic chemical clock, where each of the
-//!   `n(n-1)/2` unordered agent pairs collides at rate `1/n` (so the whole
-//!   solution performs `(n-1)/2` interactions per unit time in expectation,
-//!   matching the parallel-time scale asymptotically).
-//!
-//! The simulators count discrete interactions; this module converts those
-//! counts to both clocks, with an exact exponential-increment sampler for
-//! event timestamps when an experiment needs a bona fide CTMC trajectory.
-
-use rand::rngs::StdRng;
-use rand::RngExt;
+//! **Parallel time** — interactions divided by `n` — is the standard
+//! population-protocol time scale: the unit in which "each agent
+//! participates in O(1) interactions per time unit". The simulators count
+//! discrete interactions; this module converts those counts.
 
 /// Converts an interaction count to parallel time.
 ///
@@ -27,83 +15,9 @@ pub fn parallel_time(steps: u64, n: usize) -> f64 {
     steps as f64 / n as f64
 }
 
-/// A Gillespie clock for a well-mixed population of `n` agents: each of the
-/// `n(n-1)/2` unordered pairs fires at rate `1/n`, so inter-event times are
-/// `Exp(λ)` with `λ = (n-1)/2`.
-///
-/// # Example
-///
-/// ```
-/// use pp_protocol::GillespieClock;
-/// use rand::{rngs::StdRng, SeedableRng};
-///
-/// let mut clock = GillespieClock::new(100);
-/// let mut rng = StdRng::seed_from_u64(1);
-/// for _ in 0..495 {
-///     clock.tick(&mut rng);
-/// }
-/// // ~495 events at rate 49.5/unit ≈ 10 time units.
-/// assert!((clock.now() - 10.0).abs() < 3.0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct GillespieClock {
-    rate: f64,
-    now: f64,
-    events: u64,
-}
-
-impl GillespieClock {
-    /// Creates the clock for a population of `n` agents.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `n < 2` — a single agent never interacts and the clock
-    /// would never advance.
-    pub fn new(n: usize) -> Self {
-        assert!(n >= 2, "gillespie clock needs at least two agents");
-        GillespieClock {
-            rate: (n as f64 - 1.0) / 2.0,
-            now: 0.0,
-            events: 0,
-        }
-    }
-
-    /// Total event rate `λ = (n-1)/2`.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> f64 {
-        self.now
-    }
-
-    /// Events ticked so far.
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
-    /// Advances the clock past one interaction and returns the new time.
-    /// The increment is an exact `Exp(λ)` sample.
-    pub fn tick(&mut self, rng: &mut StdRng) -> f64 {
-        // Inverse-transform sampling; guard the log against u == 0.
-        let u: f64 = rng.random_range(f64::MIN_POSITIVE..1.0);
-        self.now += -u.ln() / self.rate;
-        self.events += 1;
-        self.now
-    }
-
-    /// The expected time after `steps` interactions (the deterministic
-    /// fluid-limit clock): `steps / λ`.
-    pub fn expected_time(&self, steps: u64) -> f64 {
-        steps as f64 / self.rate
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn parallel_time_is_steps_over_n() {
@@ -115,45 +29,5 @@ mod tests {
     #[should_panic(expected = "nonempty")]
     fn parallel_time_rejects_empty() {
         let _ = parallel_time(1, 0);
-    }
-
-    #[test]
-    fn clock_rate_matches_formula() {
-        assert_eq!(GillespieClock::new(101).rate(), 50.0);
-        assert_eq!(GillespieClock::new(2).rate(), 0.5);
-    }
-
-    #[test]
-    fn clock_advances_monotonically() {
-        let mut clock = GillespieClock::new(10);
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut last = 0.0;
-        for _ in 0..100 {
-            let t = clock.tick(&mut rng);
-            assert!(t > last);
-            last = t;
-        }
-        assert_eq!(clock.events(), 100);
-    }
-
-    #[test]
-    fn clock_concentrates_around_expectation() {
-        // Law of large numbers: after many events the realized time is
-        // close to events/rate.
-        let mut clock = GillespieClock::new(50);
-        let mut rng = StdRng::seed_from_u64(7);
-        let events = 20_000;
-        for _ in 0..events {
-            clock.tick(&mut rng);
-        }
-        let expected = clock.expected_time(events);
-        let rel = (clock.now() - expected).abs() / expected;
-        assert!(rel < 0.05, "relative deviation {rel}");
-    }
-
-    #[test]
-    #[should_panic(expected = "two agents")]
-    fn clock_rejects_singleton() {
-        let _ = GillespieClock::new(1);
     }
 }

@@ -32,12 +32,19 @@
 //!   discovered Circles table loads back as word copies, not one varint
 //!   decode per pair.
 //!
+//! - **Orbit form**: a v2 store ([`save_quotient`]) keeps one row per
+//!   color-orbit representative, and [`load`] reads it back in that same
+//!   form — a quotient table, like the one
+//!   [`quotient_table`](crate::quotient_table) builds, is never expanded in
+//!   memory. Only a v1 [`save`] of such a table writes every row out, one
+//!   at a time.
+//!
 //! Files are written atomically and durably (synced temp file + rename +
 //! directory sync), so a crashed writer leaves either the previous store or
 //! the complete new one. Loads go through one
 //! `std::fs::read` bulk read — the workspace forbids `unsafe`, so no
-//! memory-mapping; at the ~MB scale of Circles stores the copy is
-//! negligible next to parsing.
+//! memory-mapping; the buffer is released before a v2 load builds the
+//! group action's permutations, so a load peaks near twice the file size.
 
 use std::collections::HashMap;
 use std::fmt::{self, Display};
@@ -50,20 +57,20 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::activity::{AdjRows, RowRepr};
 use crate::hashing::FxBuildHasher;
 use crate::protocol::Protocol;
-use crate::quotient::{expand_orbit_rows, OrbitImages, StateQuotient};
-use crate::transition_table::TransitionTable;
+use crate::quotient::{OrbitRows, Orbits};
+use crate::transition_table::{Rows, TransitionTable};
 
 /// Newest format version this build reads. [`save`] writes version 1
 /// (every row expanded); [`save_quotient`] writes version 2 — one row per
-/// canonical orbit representative plus per-state expansion metadata, which
-/// [`load`] re-expands with zero protocol calls.
+/// canonical orbit representative plus per-state orbit metadata, which
+/// [`load`] keeps in orbit form with zero protocol calls.
 pub const FORMAT_VERSION: u32 = 2;
 
 /// The v1 layout: fully expanded rows.
 pub const FORMAT_V1: u32 = 1;
 
-/// The v2 layout: quotient representative rows plus orbit-expansion
-/// metadata (see `docs/transition-store-format.md`).
+/// The v2 layout: quotient representative rows plus orbit metadata (see
+/// `docs/transition-store-format.md`).
 pub const FORMAT_V2: u32 = 2;
 
 /// Conventional file extension for store files (`.ppts`).
@@ -76,7 +83,7 @@ const CHECKSUM_OFFSET: usize = 0x80;
 const SECTION_TABLE_OFFSET: usize = 0x40;
 const FLAG_SYMMETRIC: u32 = 1;
 /// Set exactly on v2 files: the rows section holds quotient representative
-/// rows plus expansion metadata instead of expanded rows.
+/// rows plus orbit metadata instead of every row.
 const FLAG_QUOTIENT: u32 = 2;
 
 /// Row-encoding flag byte: delta-varint id list.
@@ -188,7 +195,7 @@ pub enum StoreError {
     /// A section failed structural validation (bad varint, malformed state,
     /// out-of-range id, counts disagreeing with the header).
     Corrupt(String),
-    /// A v2 (quotient) store could not be written or expanded: the protocol
+    /// A v2 (quotient) store could not be written or loaded: the protocol
     /// exposes no quotient, the state set is not orbit-closed, or the
     /// stored rows are not coherent with the group action.
     Quotient(String),
@@ -493,6 +500,17 @@ fn row_ids(repr: RowRepr<'_>) -> Vec<u32> {
     }
 }
 
+/// Number of ids in a row.
+fn row_len(repr: RowRepr<'_>) -> u32 {
+    let (RowRepr::Sparse { len, .. } | RowRepr::Dense { len, .. }) = repr;
+    len
+}
+
+/// Bytes [`push_varint`] spends on `v`.
+fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
 /// The delta-varint payload of an ascending id list — the sparse row wire
 /// format.
 fn sparse_payload(ids: &[u32]) -> Vec<u8> {
@@ -661,12 +679,10 @@ where
     P: Protocol,
     P::State: Display,
 {
-    // One immutable view of the whole segment chain; single-segment tables
-    // (the common case: a store is usually saved right after one discovery
-    // pass or one load) expose their rows zero-copy, multi-segment tables
-    // consolidate into the canonical flat representation first.
+    // One immutable view of the whole segment chain, read one row at a
+    // time: explicit rows zero-copy, orbit-form and multi-segment rows
+    // through one reused bitset.
     let snap = table.snapshot();
-    let rows = snap.flat_rows();
     let slots = snap.len();
 
     let name = protocol.name().as_bytes().to_vec();
@@ -684,9 +700,13 @@ where
     // discovery filled them in.
     let row_words = slots.div_ceil(64);
     let threshold = slots / 8 + 8;
-    let mut rows_sec = Vec::with_capacity(rows.bytes() + 2 * slots);
-    for i in 0..slots {
-        encode_row(&mut rows_sec, rows.row_repr(i), threshold, row_words);
+    let mut rows_sec = Vec::new();
+    let mut scratch = Vec::new();
+    let mut pairs = 0u64;
+    for i in 0..slots as u32 {
+        let row = snap.row(i, &mut scratch);
+        pairs += u64::from(row_len(row));
+        encode_row(&mut rows_sec, row, threshold, row_words);
     }
 
     // Outcomes sorted by key pair, so the encoding is canonical: equal
@@ -702,7 +722,6 @@ where
     let symmetric = protocol.is_symmetric();
     let fp = fingerprint(protocol);
     let param = protocol.fingerprint_param();
-    let pairs = rows.pairs() as u64;
     let n_outcomes = outcome_list.len() as u64;
 
     let file = assemble_file(
@@ -737,19 +756,21 @@ where
 /// representative plus, per state, the `(representative, group element)`
 /// pair that reconstructs its row mechanically — shrinking row storage by
 /// roughly the group order (`~k×` for Circles, `~48×` at `k = 50`).
-/// States and outcomes persist exactly as in v1; [`load`] re-expands the
-/// rows with zero protocol calls.
+/// States and outcomes persist exactly as in v1; [`load`] reads the rows
+/// back in the same orbit form, with zero protocol calls.
 ///
 /// Before writing, the table is checked to be *orbit-coherent*: every
 /// state's canonical representative must be a stored state, and every row
-/// must equal the group image of its representative's row. The check sorts
-/// nothing: each image is scattered into one reused bitset and its
-/// canonical row encoding compared with the stored row's, in
-/// `O(pairs + states · row_words)` time and no second table. A table built
-/// by any discovery path over an orbit-closed state set (e.g.
-/// [`quotient_table`](crate::quotient_table), or a cold engine primed with
-/// the full enumeration) passes; a table over a partial, non-closed state
-/// set is rejected rather than silently mis-expanded on load.
+/// must equal the group image of its representative's row. A table already
+/// in orbit form under this protocol's quotient (as
+/// [`quotient_table`](crate::quotient_table) builds it and [`load`] reads
+/// it) is coherent by construction once its decomposition and action
+/// match the quotient's; any other table is read one row at a time, and
+/// each row's canonical encoding is compared with that of its orbit image,
+/// in `O(pairs + states · row_words)` time. A table built by any discovery
+/// path over an orbit-closed state set (e.g. a cold engine primed with the
+/// full enumeration) passes; a table over a partial, non-closed state set
+/// is rejected rather than silently mis-expanded on load.
 ///
 /// # Errors
 ///
@@ -771,7 +792,6 @@ where
         )
     })?;
     let snap = table.snapshot();
-    let rows = snap.flat_rows();
     let slots = snap.len();
 
     let mut index: HashMap<&P::State, u32, FxBuildHasher> =
@@ -779,83 +799,76 @@ where
     for t in 0..slots as u32 {
         index.insert(snap.state(t), t);
     }
-
-    // Orbit decomposition over the table's own state order.
-    let mut rep_of: Vec<(u32, u32)> = Vec::with_capacity(slots);
-    for t in 0..slots as u32 {
-        let s = snap.state(t);
-        let (canon, g) = quotient.canonical_state(s);
-        let Some(&rep) = index.get(&canon) else {
-            return Err(StoreError::Quotient(format!(
-                "state {t} canonicalizes outside the stored state set — the table is not \
-                 orbit-closed; rebuild from the full state enumeration"
-            )));
-        };
-        if &quotient.apply(g, &canon) != s {
-            return Err(StoreError::Quotient(format!(
-                "apply(g, canonical) does not recover state {t} — the quotient violates its \
-                 contract"
-            )));
-        }
-        rep_of.push((rep, g));
-    }
-    let mut rep_tids: Vec<u32> = rep_of.iter().map(|&(r, _)| r).collect();
-    rep_tids.sort_unstable();
-    rep_tids.dedup();
-    let rep_pos: HashMap<u32, u32, FxBuildHasher> = rep_tids
-        .iter()
-        .enumerate()
-        .map(|(i, &r)| (r, i as u32))
-        .collect();
+    // Orbit decomposition and action over the table's own state order.
+    let orbits = Orbits::of_states(
+        quotient,
+        |s| index.get(s).copied(),
+        |t| snap.state(t),
+        slots,
+    )
+    .map_err(|e| {
+        StoreError::Quotient(format!(
+            "{e} — the table is not orbit-closed under the protocol's quotient; rebuild it \
+             from the full state enumeration"
+        ))
+    })?;
+    drop(index);
 
     let threshold = slots / 8 + 8;
     let row_words = slots.div_ceil(64);
-    let rep_ids: Vec<Vec<u32>> = rep_tids
-        .iter()
-        .map(|&r| row_ids(rows.row_repr(r as usize)))
-        .collect();
+    let own = snap.orbit_rows().filter(|rows| rows.orbits() == &orbits);
+    let gathered;
+    let rows = match own {
+        Some(rows) => {
+            drop(orbits);
+            rows
+        }
+        None => {
+            let mut reps = AdjRows::new();
+            let mut scratch = Vec::new();
+            for (r, &t) in orbits.rep_tids().iter().enumerate() {
+                reps.push_slot();
+                match snap.row(t, &mut scratch) {
+                    RowRepr::Sparse { payload, last, len } => {
+                        reps.set_row_payload(r, len, last, payload, slots)
+                    }
+                    RowRepr::Dense { blocks, .. } => reps.set_row_bits(r, blocks.to_vec(), slots),
+                }
+            }
+            gathered = OrbitRows::new(orbits, reps);
+            &gathered
+        }
+    };
 
     // Coherence check — every row must be the group image of its
     // representative's row — folded together with the v1 byte accounting
-    // (the price of the expanded layout this save is avoiding). Every row
-    // is encoded once; a non-representative row's image is scattered into
-    // one reused bitset and encoded too. [`encode_row`] is a function of
-    // row contents alone, so the two encodings are equal exactly when the
-    // rows are, whichever in-memory form the stored row has — no sort.
-    let mut images = OrbitImages::new(quotient, &index, slots, |u| snap.state(u));
-    let mut image = vec![0u64; row_words];
+    // (the price of the expanded layout this save is avoiding). [`encode_row`]
+    // is a function of row contents alone, so a stored row and its orbit
+    // image encode equally exactly when they are equal, whichever
+    // in-memory form the stored row has — no sort. Rows of a table already
+    // in this orbit form are their images by construction; only their v1
+    // size is needed, fixed for a row too long to stay sparse.
     let (mut got, mut want) = (Vec::new(), Vec::new());
+    let (mut stored, mut image) = (Vec::new(), Vec::new());
     let mut v1_rows_len = 0usize;
-    for (t, &(rep, g)) in rep_of.iter().enumerate() {
-        got.clear();
-        encode_row(&mut got, rows.row_repr(t), threshold, row_words);
-        v1_rows_len += got.len();
-        if t as u32 == rep {
+    for t in 0..slots as u32 {
+        let len = rows.row_len(t);
+        if own.is_some() && len > threshold {
+            v1_rows_len += varint_len(len as u64) + 1 + 8 * row_words;
             continue;
         }
-        image.fill(0);
-        images
-            .scatter(g, &rep_ids[rep_pos[&rep] as usize], &mut image)
-            .map_err(|u| {
-                StoreError::Quotient(format!(
-                    "group element {g} maps state {u} outside the stored state set"
-                ))
-            })?;
-        let len = image.iter().map(|w| w.count_ones()).sum();
+        got.clear();
+        encode_row(&mut got, snap.row(t, &mut stored), threshold, row_words);
+        v1_rows_len += got.len();
+        if own.is_some() || rows.orbits().is_rep(t) {
+            continue;
+        }
         want.clear();
-        encode_row(
-            &mut want,
-            RowRepr::Dense {
-                blocks: &image,
-                len,
-            },
-            threshold,
-            row_words,
-        );
+        encode_row(&mut want, rows.row(t, &mut image), threshold, row_words);
         if got != want {
             return Err(StoreError::Quotient(format!(
-                "row {t} is not the orbit image of its representative {rep} — the table was \
-                 not built orbit-coherently"
+                "row {t} is not the orbit image of its representative — the table was not \
+                 built orbit-coherently"
             )));
         }
     }
@@ -882,6 +895,7 @@ where
     // the ascending representative tid list (delta-varint), per-state
     // (representative index, group element) pairs, then the
     // representatives' rows in their canonical v1 encodings.
+    let rep_tids = rows.orbits().rep_tids();
     let mut rows_sec = Vec::new();
     push_varint(&mut rows_sec, u64::from(quotient.group_order()));
     push_varint(&mut rows_sec, rep_tids.len() as u64);
@@ -891,17 +905,12 @@ where
         push_varint(&mut rows_sec, u64::from(if n == 0 { r } else { r - prev }));
         prev = r;
     }
-    for &(rep, g) in &rep_of {
-        push_varint(&mut rows_sec, u64::from(rep_pos[&rep]));
+    for &(r, g) in rows.orbits().rep_of() {
+        push_varint(&mut rows_sec, u64::from(r));
         push_varint(&mut rows_sec, u64::from(g));
     }
-    for &r in &rep_tids {
-        encode_row(
-            &mut rows_sec,
-            rows.row_repr(r as usize),
-            threshold,
-            row_words,
-        );
+    for r in 0..rep_tids.len() {
+        encode_row(&mut rows_sec, rows.rep_row(r), threshold, row_words);
     }
 
     let symmetric = protocol.is_symmetric();
@@ -933,7 +942,7 @@ where
         file_bytes: file.len() as u64,
         checksum: read_u64(&file, CHECKSUM_OFFSET),
         quotient: Some(QuotientStats {
-            reps: rep_tids.len() as u64,
+            reps: rows.orbits().rep_tids().len() as u64,
             group_order: quotient.group_order(),
             v1_bytes,
         }),
@@ -1088,25 +1097,23 @@ fn decode_v1_rows(sec: &[u8], slots: usize) -> Result<AdjRows, StoreError> {
     Ok(rows)
 }
 
-/// Decodes a v2 rows section and re-expands it through the protocol's
-/// quotient into the full [`AdjRows`]. Zero protocol transition calls —
-/// the group action (and the per-state `apply(g, rep) == state` check that
-/// pins the expansion metadata to the protocol) is the only computation.
-fn decode_v2_rows<S>(
-    quotient: &dyn StateQuotient<S>,
-    sec: &[u8],
-    states: &[S],
-) -> Result<AdjRows, StoreError>
-where
-    S: Clone + Eq + std::hash::Hash + fmt::Debug,
-{
-    let slots = states.len();
+/// A rows section, decoded and structurally validated.
+enum DecodedRows {
+    /// v1: every row.
+    Flat(AdjRows),
+    /// v2, not yet tied to the protocol's quotient: the ascending
+    /// representative tids, the per-state `(representative index, group
+    /// element)` pairs and the representatives' out-rows.
+    Orbit(Vec<u32>, Vec<(u32, u32)>, AdjRows),
+}
+
+/// Decodes a v2 rows section whose quotient has `group_order` elements.
+fn decode_v2_rows(sec: &[u8], slots: usize, group_order: u32) -> Result<DecodedRows, StoreError> {
     let mut cur = Cursor::new("rows", sec);
-    let group_order = cur.varint()?;
-    if group_order != u64::from(quotient.group_order()) {
+    let stored_order = cur.varint()?;
+    if stored_order != u64::from(group_order) {
         return Err(StoreError::Quotient(format!(
-            "store records group order {group_order}, the protocol's quotient has {}",
-            quotient.group_order()
+            "store records group order {stored_order}, the protocol's quotient has {group_order}"
         )));
     }
     let n_reps = cur.varint()?;
@@ -1148,65 +1155,38 @@ where
             )));
         }
         let g = cur.varint()?;
-        if g >= group_order {
+        if g >= u64::from(group_order) {
             return Err(StoreError::Corrupt(format!(
                 "state {t} names group element {g}, out of {group_order}"
             )));
         }
-        rep_of.push((rep_tids[ri as usize], g as u32));
+        rep_of.push((ri as u32, g as u32));
     }
     let row_words = slots.div_ceil(64);
-    let mut rep_rows: Vec<Vec<u32>> = Vec::with_capacity(n_reps);
-    for &r in &rep_tids {
-        let ids = match decode_one_row(&mut cur, r as usize, slots, row_words)? {
-            DecodedRow::Empty => Vec::new(),
+    let mut reps = AdjRows::new();
+    for (r, &t) in rep_tids.iter().enumerate() {
+        reps.push_slot();
+        match decode_one_row(&mut cur, t as usize, slots, row_words)? {
+            DecodedRow::Empty => {}
             DecodedRow::Sparse {
                 count,
                 last,
                 payload,
-            } => row_ids(RowRepr::Sparse {
-                payload,
-                last,
-                len: count,
-            }),
-            DecodedRow::Dense { blocks, count } => row_ids(RowRepr::Dense {
-                blocks: &blocks,
-                len: count,
-            }),
-        };
-        rep_rows.push(ids);
-    }
-    cur.finish()?;
-
-    // The expansion metadata must actually recover every state from its
-    // representative, or the expanded rows would be coherent nonsense.
-    for (t, &(rep, g)) in rep_of.iter().enumerate() {
-        if quotient.apply(g, &states[rep as usize]) != states[t] {
-            return Err(StoreError::Quotient(format!(
-                "apply(g) of representative {rep} does not recover state {t} — the store \
-                 disagrees with the protocol's quotient"
-            )));
+            } => reps.set_row_payload(r, count, last, payload, slots),
+            DecodedRow::Dense { blocks, count } => reps.set_row_dense(r, blocks, count),
         }
     }
-    let mut index: HashMap<&S, u32, FxBuildHasher> =
-        HashMap::with_capacity_and_hasher(slots, FxBuildHasher::default());
-    for (t, s) in states.iter().enumerate() {
-        index.insert(s, t as u32);
-    }
-    let rep_index: HashMap<u32, u32, FxBuildHasher> = rep_tids
-        .iter()
-        .enumerate()
-        .map(|(i, &r)| (r, i as u32))
-        .collect();
-    expand_orbit_rows(quotient, states, &index, &rep_of, &rep_index, &rep_rows)
-        .map_err(StoreError::Quotient)
+    cur.finish()?;
+    Ok(DecodedRows::Orbit(rep_tids, rep_of, reps))
 }
 
 /// Reads `path` and reconstructs the [`TransitionTable`] it stores, with
 /// **zero protocol calls**: the protocol value is consulted only for its
 /// identity ([`fingerprint`]) and the states' `FromStr` codec. A v2
-/// (quotient) store is re-expanded through the protocol's
-/// [color quotient](Protocol::color_quotient) — group applications, never
+/// (quotient) store stays in orbit form — representative rows plus the
+/// group action of the protocol's [color quotient](Protocol::color_quotient),
+/// checked against every stored `(representative, element)` pair — so it
+/// takes about its file size in memory; group applications, never
 /// transitions.
 ///
 /// # Errors
@@ -1297,23 +1277,17 @@ where
     }
     cur.finish()?;
 
+    let quotient = protocol.color_quotient();
     let rows = if raw.version == FORMAT_V2 {
-        let quotient = protocol.color_quotient().ok_or_else(|| {
+        let quotient = quotient.ok_or_else(|| {
             StoreError::Quotient(
                 "store is v2 (quotient) but the protocol exposes no color quotient".into(),
             )
         })?;
-        decode_v2_rows(quotient, raw.rows_sec, &states)?
+        decode_v2_rows(raw.rows_sec, slots, quotient.group_order())?
     } else {
-        decode_v1_rows(raw.rows_sec, slots)?
+        DecodedRows::Flat(decode_v1_rows(raw.rows_sec, slots)?)
     };
-    if rows.pairs() as u64 != raw.pairs {
-        return Err(StoreError::Corrupt(format!(
-            "header declares {} active pair(s), rows decode to {}",
-            raw.pairs,
-            rows.pairs()
-        )));
-    }
 
     let mut cur = Cursor::new("outcomes", raw.outcomes_sec);
     let mut outcomes: HashMap<(u32, u32), (u32, u32), FxBuildHasher> =
@@ -1338,15 +1312,47 @@ where
             )));
         }
         prev = Some(key);
-        if !rows.contains(key.0 as usize, key.1 as usize) {
-            return Err(StoreError::Corrupt(format!(
-                "outcome recorded for null pair ({}, {})",
-                key.0, key.1
-            )));
-        }
         outcomes.insert(key, (ids[2], ids[3]));
     }
     cur.finish()?;
+    let pairs = raw.pairs;
+    // Every section is decoded: release the file before the group action's
+    // permutations are built, so a v2 load peaks near twice the file size.
+    drop(bytes);
+
+    let rows = match rows {
+        DecodedRows::Flat(rows) => Rows::Flat(rows),
+        DecodedRows::Orbit(rep_tids, rep_of, reps) => {
+            let quotient = quotient.expect("v2 rows decode only with a quotient");
+            let orbits = Orbits::from_parts(
+                quotient,
+                |s| index.get(s).copied(),
+                |t| &states[t as usize],
+                rep_tids,
+                rep_of,
+            )
+            .map_err(|e| {
+                StoreError::Quotient(format!(
+                    "{e} — the store disagrees with the protocol's quotient"
+                ))
+            })?;
+            Rows::Orbit(OrbitRows::new(orbits, reps))
+        }
+    };
+    drop(index);
+    if rows.pairs() as u64 != pairs {
+        return Err(StoreError::Corrupt(format!(
+            "header declares {pairs} active pair(s), rows decode to {}",
+            rows.pairs()
+        )));
+    }
+    let mut keys: Vec<&(u32, u32)> = outcomes.keys().collect();
+    keys.sort_unstable();
+    if let Some((i, j)) = keys.into_iter().find(|&&(i, j)| !rows.contains(i, j)) {
+        return Err(StoreError::Corrupt(format!(
+            "outcome recorded for null pair ({i}, {j})"
+        )));
+    }
 
     Ok(TransitionTable::from_parts(
         states, rows, outcomes, symmetric,
@@ -1433,14 +1439,25 @@ pub fn audit<P: Protocol>(
     let snap = table.snapshot();
     let n = snap.len();
     let mut pairs_checked = 0u64;
+    // One row walk per audited row, so orbit-form rows are scattered once
+    // rather than searched per pair.
+    let mut row = vec![0u64; n.div_ceil(64)];
     'pairs: for i in 0..n as u32 {
+        if pairs_checked >= max_pairs {
+            break;
+        }
+        row.fill(0);
+        snap.walk_out(i, |j| {
+            row[j / 64] |= 1 << (j % 64);
+            true
+        });
         for j in 0..n as u32 {
             if pairs_checked >= max_pairs {
                 break 'pairs;
             }
             let (si, sj) = (snap.state(i), snap.state(j));
             let active = !protocol.is_null_interaction(si, sj);
-            if snap.contains(i, j) != active {
+            if (row[j as usize / 64] >> (j % 64) & 1 == 1) != active {
                 return Err(StoreError::AuditMismatch(format!(
                     "pair ({si:?}, {sj:?}) stored as {} but the protocol says {}",
                     if active { "null" } else { "active" },

@@ -72,9 +72,60 @@ use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::activity::AdjRows;
+use crate::activity::{AdjRows, RowRepr};
 use crate::hashing::FxBuildHasher;
 use crate::protocol::Protocol;
+use crate::quotient::OrbitRows;
+
+/// A segment's own out-rows: explicit, or in orbit form for a quotient
+/// table ([`quotient_table`](crate::quotient_table) or a `.ppts` v2 load).
+#[derive(Debug)]
+pub(crate) enum Rows {
+    /// One row per state.
+    Flat(AdjRows),
+    /// Representative rows plus the group action; only ever a base-0
+    /// segment covering the whole state set.
+    Orbit(OrbitRows),
+}
+
+impl Rows {
+    /// Active pairs stored.
+    pub(crate) fn pairs(&self) -> usize {
+        match self {
+            Rows::Flat(rows) => rows.pairs(),
+            Rows::Orbit(rows) => rows.pairs(),
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        match self {
+            Rows::Flat(rows) => rows.bytes(),
+            Rows::Orbit(rows) => rows.bytes(),
+        }
+    }
+
+    /// Whether row `r` holds `j`.
+    pub(crate) fn contains(&self, r: u32, j: u32) -> bool {
+        match self {
+            Rows::Flat(rows) => rows.contains(r as usize, j as usize),
+            Rows::Orbit(rows) => rows.contains(r, j),
+        }
+    }
+
+    fn walk_out(&self, r: u32, f: impl FnMut(usize) -> bool) {
+        match self {
+            Rows::Flat(rows) => rows.walk(r as usize, f),
+            Rows::Orbit(rows) => rows.walk_out(r, f),
+        }
+    }
+
+    fn row<'a>(&'a self, r: u32, scratch: &'a mut Vec<u64>) -> RowRepr<'a> {
+        match self {
+            Rows::Flat(rows) => rows.row_repr(r as usize),
+            Rows::Orbit(rows) => rows.row(r, scratch),
+        }
+    }
+}
 
 /// One immutable band of a [`TransitionTable`]: the states with ids
 /// `[base, base + states.len())`, every pair classification involving at
@@ -91,13 +142,14 @@ pub(crate) struct Segment<S> {
     index: HashMap<S, u32, FxBuildHasher>,
     /// Out-rows of the new states: row `r` holds every id `j < end` with
     /// `(base + r, j)` active, ascending.
-    rows: AdjRows,
+    rows: Rows,
     /// Out-row *extensions* of earlier states: row `v < base` holds every
     /// id `j ∈ [base, end)` with `(v, j)` active, ascending. Empty (zero
     /// rows) when the segment publishes no states.
     ext: AdjRows,
     /// In-rows of the new states (initiators `i < end` of `(i, base + r)`),
-    /// `None` when the adjacency is symmetric (in-rows equal out-rows).
+    /// `None` when the adjacency is symmetric (in-rows equal out-rows) or
+    /// the rows are in orbit form (which derive their own).
     ins: Option<AdjRows>,
     /// In-row extensions of earlier states: row `v < base` holds every
     /// initiator `i ∈ [base, end)` of `(i, v)`. `None` when symmetric.
@@ -119,7 +171,7 @@ impl<S: Clone + Eq + Hash> Segment<S> {
     pub(crate) fn new(
         base: u32,
         states: Vec<S>,
-        rows: AdjRows,
+        rows: Rows,
         ext: AdjRows,
         outcomes: HashMap<(u32, u32), (u32, u32), FxBuildHasher>,
         symmetric: bool,
@@ -128,9 +180,14 @@ impl<S: Clone + Eq + Hash> Segment<S> {
         for (r, s) in states.iter().enumerate() {
             index.insert(s.clone(), base + r as u32);
         }
+        // Orbit-form rows derive their own in-rows.
+        let rows = match rows {
+            Rows::Orbit(orbit) if !symmetric => Rows::Orbit(orbit.with_in_rows()),
+            rows => rows,
+        };
         let (ins, ins_ext) = if symmetric || states.is_empty() {
             (None, None)
-        } else {
+        } else if let Rows::Flat(rows) = &rows {
             let b = base as usize;
             let mut ins = AdjRows::new();
             for _ in 0..states.len() {
@@ -160,6 +217,8 @@ impl<S: Clone + Eq + Hash> Segment<S> {
                 });
             }
             (Some(ins), Some(ins_ext))
+        } else {
+            (None, None)
         };
         Segment {
             base,
@@ -362,14 +421,14 @@ impl<P: Protocol> TransitionTable<P> {
         snap
     }
 
-    /// Wraps already-validated flat contents as a single base-0 segment,
-    /// for the on-disk store loader (see
-    /// [`transition_store`](crate::transition_store)). The transpose of an
-    /// asymmetric adjacency is materialized here, once per load, instead of
+    /// Wraps already-validated contents as a single base-0 segment, for
+    /// the quotient builder and the on-disk store loader (see
+    /// [`transition_store`](crate::transition_store)). The in-rows of an
+    /// asymmetric adjacency are derived here, once per load, instead of
     /// once per warm trial.
     pub(crate) fn from_parts(
         states: Vec<P::State>,
-        rows: AdjRows,
+        rows: Rows,
         outcomes: HashMap<(u32, u32), (u32, u32), FxBuildHasher>,
         symmetric: bool,
     ) -> Self {
@@ -380,26 +439,6 @@ impl<P: Protocol> TransitionTable<P> {
             debug_assert!(installed, "fresh table cannot lose an install race");
         }
         table
-    }
-}
-
-/// A borrowed-or-consolidated view of a snapshot's flat out-rows; see
-/// [`TableSnapshot::flat_rows`].
-pub(crate) enum FlatRows<'a> {
-    /// The single segment's rows, zero-copy (the common, store-load case).
-    Borrowed(&'a AdjRows),
-    /// Rows consolidated across segments into one canonical row set.
-    Owned(AdjRows),
-}
-
-impl std::ops::Deref for FlatRows<'_> {
-    type Target = AdjRows;
-
-    fn deref(&self) -> &AdjRows {
-        match self {
-            FlatRows::Borrowed(rows) => rows,
-            FlatRows::Owned(rows) => rows,
-        }
     }
 }
 
@@ -474,7 +513,9 @@ impl<S> TableSnapshot<S> {
             .find_map(|seg| seg.outcomes.get(&key).copied())
     }
 
-    /// Whether the ordered pair `(i, j)` is classified active.
+    /// Whether the ordered pair `(i, j)` is classified active. `O(1)` for
+    /// dense rows and, in a quotient table, on the diagonal; otherwise a
+    /// scan of one stored row (row walks are the bulk path).
     ///
     /// # Panics
     ///
@@ -482,7 +523,7 @@ impl<S> TableSnapshot<S> {
     pub fn contains(&self, i: u32, j: u32) -> bool {
         let owner = self.owner(i);
         if j < owner.end() {
-            owner.rows.contains((i - owner.base) as usize, j as usize)
+            owner.rows.contains(i - owner.base, j)
         } else {
             self.owner(j).ext.contains(i as usize, j as usize)
         }
@@ -498,7 +539,7 @@ impl<S> TableSnapshot<S> {
         let k = self.bounds.partition_point(|&b| b <= tid);
         let owner = &self.segments[k];
         let mut go = true;
-        owner.rows.walk((tid - owner.base) as usize, |j| {
+        owner.rows.walk_out(tid - owner.base, |j| {
             go = f(j);
             go
         });
@@ -531,16 +572,24 @@ impl<S> TableSnapshot<S> {
     pub fn walk_in(&self, tid: u32, mut f: impl FnMut(usize) -> bool) {
         let k = self.bounds.partition_point(|&b| b <= tid);
         let owner = &self.segments[k];
-        let Some(ins) = &owner.ins else {
-            // Symmetric: the column equals the row.
+        if owner.symmetric {
+            // The column equals the row.
             self.walk_out(tid, f);
             return;
-        };
+        }
         let mut go = true;
-        ins.walk((tid - owner.base) as usize, |i| {
-            go = f(i);
-            go
-        });
+        let r = tid - owner.base;
+        match (&owner.rows, &owner.ins) {
+            (Rows::Orbit(rows), _) => rows.walk_in(r, |i| {
+                go = f(i);
+                go
+            }),
+            (Rows::Flat(_), Some(ins)) => ins.walk(r as usize, |i| {
+                go = f(i);
+                go
+            }),
+            (Rows::Flat(_), None) => unreachable!("asymmetric segments derive in-rows"),
+        }
         if !go {
             return;
         }
@@ -572,28 +621,40 @@ impl<S> TableSnapshot<S> {
         self.segments.first().is_none_or(|s| s.symmetric)
     }
 
-    /// The flat out-rows over all ids — borrowed zero-copy from a
-    /// single-segment snapshot (the store-load and cold-export common
-    /// case), consolidated otherwise. Consolidation rebuilds rows under the
-    /// final slot count, so the representation of equal contents is
-    /// canonical either way (see
-    /// [`AdjRows::set_row_varint`](crate::activity::AdjRows::set_row_varint)).
-    pub(crate) fn flat_rows(&self) -> FlatRows<'_> {
-        if self.segments.len() == 1 && self.segments[0].base == 0 {
-            return FlatRows::Borrowed(&self.segments[0].rows);
+    /// Row `tid` in a stored representation, for the store writers:
+    /// straight from its segment when no later segment extends it,
+    /// otherwise gathered into `scratch` as a bitset.
+    pub(crate) fn row<'a>(&'a self, tid: u32, scratch: &'a mut Vec<u64>) -> RowRepr<'a> {
+        let k = self.bounds.partition_point(|&b| b <= tid);
+        let owner = &self.segments[k];
+        if self.segments[k + 1..]
+            .iter()
+            .all(|seg| seg.states.is_empty())
+        {
+            return owner.rows.row(tid - owner.base, scratch);
         }
-        let n = self.len();
-        let mut rows = AdjRows::new();
-        for _ in 0..n {
-            rows.push_slot();
+        scratch.clear();
+        scratch.resize(self.len().div_ceil(64), 0);
+        let mut len = 0;
+        self.walk_out(tid, |j| {
+            scratch[j / 64] |= 1 << (j % 64);
+            len += 1;
+            true
+        });
+        RowRepr::Dense {
+            blocks: scratch,
+            len,
         }
-        for i in 0..n as u32 {
-            self.walk_out(i, |j| {
-                rows.push(i as usize, j);
-                true
-            });
+    }
+
+    /// The orbit-form rows of a snapshot of one quotient table (as built
+    /// or loaded, plus at most outcome-only segments).
+    pub(crate) fn orbit_rows(&self) -> Option<&OrbitRows> {
+        let (first, rest) = self.segments.split_first()?;
+        match &first.rows {
+            Rows::Orbit(rows) if rest.iter().all(|seg| seg.states.is_empty()) => Some(rows),
+            _ => None,
         }
-        FlatRows::Owned(rows)
     }
 
     /// All memoized outcomes, sorted by pair.
@@ -678,7 +739,7 @@ mod tests {
             Segment::new(
                 base,
                 states,
-                rows,
+                Rows::Flat(rows),
                 ext,
                 HashMap::with_hasher(FxBuildHasher::default()),
                 true,
@@ -704,7 +765,7 @@ mod tests {
             Segment::new(
                 0,
                 vec![7u8],
-                rows,
+                Rows::Flat(rows),
                 AdjRows::new(),
                 HashMap::with_hasher(FxBuildHasher::default()),
                 true,
@@ -720,7 +781,7 @@ mod tests {
             Segment::new(
                 1,
                 vec![9u8],
-                rows,
+                Rows::Flat(rows),
                 {
                     let mut ext = AdjRows::new();
                     ext.push_slot();
