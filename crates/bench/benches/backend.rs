@@ -193,8 +193,8 @@ fn primed_per_change_ns(k: u16, n: usize) -> (usize, u64, f64) {
 
 /// Sparse activity index, primed: per-change-point cost on a slot table
 /// past 10^4 (`k = 30`, sparse activity) and in the dense regime (`k = 10`,
-/// ~830 slots with ~40% of ordered slot pairs active), where settlement
-/// and row walks are the cost.
+/// ~830 slots with ~40% of ordered slot pairs active), where the in-row
+/// walks of `count_changed` are the cost.
 fn bench_slot_scaling(c: &mut Criterion) {
     let (k, n) = (30u16, 12_000usize);
     let (slots, changes, per_change) = primed_per_change_ns(k, n);

@@ -8,12 +8,14 @@
 //!
 //! - [`SparseActivity`] (the default): per-slot adjacency lists of active
 //!   out-/in-neighbors stored as plain sorted `u32` vectors ([`VecAdj`]),
-//!   discovered lazily as states appear. A count change at slot `t` touches
-//!   only the rows active into `t` (`O(deg)` instead of `O(slots)`), changed
-//!   rows are collected in a dirty set and settled once per change-point in
-//!   `O(dirty)`: each row's mass delta reaches its 64-row block sum and the
-//!   total. A conditional pair draw scans the block sums, then the rows of
-//!   one block, then one out-row: `O(slots/64 + 64 + deg)`.
+//!   discovered lazily as states appear. The index keeps exact only what a
+//!   draw reads before it picks a row: each slot's in-column sum `col_in`,
+//!   one mass sum per 64-row block and the total. A count change at slot
+//!   `t` walks only the rows active into `t` (`O(deg)` instead of
+//!   `O(slots)`), moving each block run's sum by `delta · Σ c_r` with one
+//!   multiply. Row masses are never stored: a conditional pair draw scans
+//!   the block sums, computes the row masses of one block on the fly, then
+//!   walks one out-row: `O(slots/64 + 64 + deg)`.
 //! - [`CompactActivity`]: the same incremental index over a compressed row
 //!   store ([`CompactAdj`]) — blocked bitsets for dense rows,
 //!   delta-compressed LEB128 lists for sparse rows, chosen per row by
@@ -57,11 +59,11 @@ pub trait PairSampling {
 ///
 /// The engine drives implementations through a strict protocol:
 /// [`add_slot`](Activity::add_slot) once per newly observed state (counts
-/// already extended with a zero entry), [`count_changed`](Activity::count_changed)
-/// once per count delta (counts already updated), and
-/// [`settle`](Activity::settle) once per change-point after all deltas, which
-/// must leave [`mass`](Activity::mass) and [`row_mass`](Activity::row_mass)
-/// exact.
+/// already extended with a zero entry) and
+/// [`count_changed`](Activity::count_changed) once per count delta (counts
+/// already updated). Each call must leave [`mass`](Activity::mass) and the
+/// sampling structure exact: there is no separate settlement pass, so a
+/// draw may follow any delta.
 pub trait Activity: PairSampling + Default {
     /// Registers the slot `counts.len() - 1` (which must hold zero agents)
     /// and discovers its activity against all existing slots by querying
@@ -126,23 +128,34 @@ pub trait Activity: PairSampling + Default {
     }
 
     /// Absorbs a count change of `delta` agents at `slot` (already applied
-    /// to `counts`) into the incremental structures, deferring row-mass
-    /// settlement to [`settle`](Activity::settle).
+    /// to the engine's counts), leaving [`mass`](Activity::mass) and the
+    /// sampling structure exact.
     fn count_changed(&mut self, slot: usize, delta: i64);
 
-    /// Recomputes the row masses of every row dirtied since the last call
-    /// and restores the `mass`/`row_mass`/sampling invariants. The bundled
-    /// indexes pay `O(dirty)`: each dirty row's mass delta reaches its row,
-    /// its 64-row block sum and the total.
-    fn settle(&mut self, counts: &[u64]);
+    /// Does nothing. Indexes stay exact after every
+    /// [`count_changed`](Activity::count_changed) and the engine never calls
+    /// this; it is kept only so that wrapper indexes forwarding to it (the
+    /// repository benchmark's timing wrapper) still compile.
+    fn settle(&mut self, _counts: &[u64]) {}
 
     /// Total weight of active ordered pairs; zero iff the configuration is
     /// silent.
     fn mass(&self) -> u128;
 
-    /// Per-initiator-slot active weight
-    /// `row_mass[i] = c_i · col_in[i] − [active(i, i)] · c_i`.
-    fn row_mass(&self) -> &[u128];
+    /// An empty slice. Row masses are computed per draw, not stored; this
+    /// is kept only so that wrapper indexes forwarding to it (the
+    /// repository benchmark's timing wrapper) still compile.
+    fn row_mass(&self) -> &[u128] {
+        &[]
+    }
+
+    /// The incremental sums this index keeps, for
+    /// [`CountEngine::audit`](crate::CountEngine::audit) to recompute: every
+    /// slot's `col_in[i] = Σ_{j ∈ out(i)} c_j` and one mass sum per
+    /// 64-row block of initiator slots. The default has nothing to check.
+    fn stored_sums(&self) -> Option<(&[u64], &[u128])> {
+        None
+    }
 
     /// Visits the active out-neighbors of slot `i` in ascending order —
     /// the row-export hook used to hand a discovered adjacency to a
@@ -160,15 +173,8 @@ pub trait Activity: PairSampling + Default {
 
     /// Heap bytes devoted to pair adjacency — the quantity the compact row
     /// store minimizes. Excludes the per-slot scalar arrays (`col_in`,
-    /// `row_mass`, …), which are `O(slots)` for every index.
+    /// counts, …), which are `O(slots)` for every index.
     fn adjacency_bytes(&self) -> usize;
-}
-
-/// Recomputes one row's mass from its count and in-column sum.
-#[inline]
-fn row_mass_of(count: u64, col_in: u64, diag_active: bool) -> u128 {
-    let c = u128::from(count);
-    c * u128::from(col_in) - if diag_active { c } else { 0 }
 }
 
 /// Row-storage strategy behind an [`AdjActivity`] index: which slots are
@@ -750,9 +756,9 @@ impl AdjStore for CompactAdj {
 }
 
 /// Rows per block of the sampling index: [`AdjActivity`] keeps one mass
-/// sum per block, so a draw scans `slots / BLOCK` block sums and then at
-/// most `BLOCK` row masses.
-const BLOCK: usize = 64;
+/// sum per block, so a draw scans `slots / BLOCK` block sums and then
+/// computes at most `BLOCK` row masses.
+pub(crate) const BLOCK: usize = 64;
 
 /// Adjacency-list activity index generic over its row storage — see the
 /// [module docs](self). [`SparseActivity`] and [`CompactActivity`] are the
@@ -762,21 +768,15 @@ pub struct AdjActivity<R: AdjStore> {
     adj: R,
     /// Whether the diagonal pair `(i, i)` is active.
     diag: Vec<bool>,
+    /// The index's own copy of the slot counts:
+    /// [`count_changed`](Activity::count_changed) receives only deltas.
+    counts: Vec<u64>,
     /// `col_in[i] = Σ_j active(i, j) · c_j`.
-    col_in: Vec<u64>,
-    row_mass: Vec<u128>,
-    /// `block_mass[b] = Σ row_mass[r]` over the rows `r / BLOCK == b`.
-    block_mass: Vec<u128>,
+    pub(crate) col_in: Vec<u64>,
+    /// `block_mass[b]` sums the row masses `c_r · col_in[r] − [diag_r] · c_r`
+    /// of the rows `r / BLOCK == b`.
+    pub(crate) block_mass: Vec<u128>,
     mass: u128,
-    /// `dirty[..dirty_len]` lists the rows whose mass is stale, awaiting
-    /// [`Activity::settle`]. Sized `slots + 1`: at most `slots` distinct
-    /// rows queue per epoch, and [`count_changed`](Activity::count_changed)
-    /// writes one entry past the queue unconditionally.
-    dirty: Vec<u32>,
-    dirty_len: usize,
-    /// `stamp[r] == epoch` iff row `r` is already queued in `dirty`.
-    stamp: Vec<u64>,
-    epoch: u64,
 }
 
 /// Sparse per-slot adjacency activity index over plain sorted vectors —
@@ -792,54 +792,50 @@ impl<R: AdjStore> Default for AdjActivity<R> {
         AdjActivity {
             adj: R::default(),
             diag: Vec::new(),
+            counts: Vec::new(),
             col_in: Vec::new(),
-            row_mass: Vec::new(),
             block_mass: Vec::new(),
             mass: 0,
-            dirty: vec![0],
-            dirty_len: 0,
-            stamp: Vec::new(),
-            // Stamps start at zero, so the live epoch must not: a fresh row
-            // would otherwise read as already-queued and never get dirtied.
-            epoch: 1,
         }
     }
 }
 
 impl<R: AdjStore> AdjActivity<R> {
-    /// Registers the next slot's scalar state — zero mass, not queued —
+    /// Registers the next slot's scalar state — no agents, zero mass —
     /// opening a new block every [`BLOCK`] rows. Returns the new slot id.
     fn push_row(&mut self, diag: bool) -> usize {
         let id = self.adj.slots();
         assert!(id < u32::MAX as usize, "slot ids exceed u32");
         self.adj.push_slot();
         self.diag.push(diag);
+        self.counts.push(0);
         self.col_in.push(0);
-        self.row_mass.push(0);
         if id.is_multiple_of(BLOCK) {
             self.block_mass.push(0);
         }
-        self.dirty.push(0);
-        self.stamp.push(0);
         id
+    }
+
+    /// Row `r`'s active weight `c_r · col_in[r] − [diag_r] · c_r`.
+    #[inline]
+    fn mass_of_row(&self, r: usize) -> u128 {
+        let c = u128::from(self.counts[r]);
+        c * u128::from(self.col_in[r]) - if self.diag[r] { c } else { 0 }
     }
 }
 
-/// Queues row `r` unless this epoch already has it: the entry is always
-/// written, and the queue length grows only for a first visit — no branch
-/// for the predictor to miss on a dense in-row walk.
+/// Adds the signed `delta` to a block sum or the total; every such sum
+/// stays at most `n(n − 1) < 2^126`, so `i128` deltas cannot overflow.
 #[inline]
-fn mark_dirty(dirty: &mut [u32], len: &mut usize, stamp: &mut [u64], epoch: u64, r: usize) {
-    dirty[*len] = r as u32;
-    *len += usize::from(stamp[r] != epoch);
-    stamp[r] = epoch;
+fn shift(sum: &mut u128, delta: i128) {
+    *sum = sum.checked_add_signed(delta).expect("mass underflow");
 }
 
 /// Index of the entry holding the `rem`-th unit of `masses`' running
 /// total, with `rem` reduced to the offset inside that entry.
 #[inline]
-fn find_unit(masses: &[u128], rem: &mut u128) -> Option<usize> {
-    masses.iter().position(|&m| {
+fn find_unit(mut masses: impl Iterator<Item = u128>, rem: &mut u128) -> Option<usize> {
+    masses.position(|m| {
         if *rem < m {
             return true;
         }
@@ -854,15 +850,16 @@ impl<R: AdjStore> PairSampling for AdjActivity<R> {
     }
 
     fn sample_change(&self, r: u128, counts: &[u64]) -> (usize, usize) {
-        debug_assert_eq!(self.dirty_len, 0, "sampling from an unsettled index");
         // Blocks, then the rows of one block, then the out-row: the same
         // (initiator, responder) order as one flat walk over every pair.
         let mut rem = r;
-        let block =
-            find_unit(&self.block_mass, &mut rem).expect("sampling walked past the total mass");
+        let block = find_unit(self.block_mass.iter().copied(), &mut rem)
+            .expect("sampling walked past the total mass");
         let start = block * BLOCK;
-        let rows = &self.row_mass[start..self.row_mass.len().min(start + BLOCK)];
-        let i = start + find_unit(rows, &mut rem).expect("block mass out of sync with row masses");
+        let rows = start..self.counts.len().min(start + BLOCK);
+        let i = start
+            + find_unit(rows.map(|row| self.mass_of_row(row)), &mut rem)
+                .expect("block mass out of sync with row masses");
         let ci = u128::from(counts[i]);
         let mut found = usize::MAX;
         self.adj.walk_out(i, |j| {
@@ -899,7 +896,7 @@ impl<R: AdjStore> Activity for AdjActivity<R> {
             self.adj.add_pair(id, id);
             self.diag[id] = true;
         }
-        // The new slot holds no agents, so no existing col_in or row_mass
+        // The new slot holds no agents, so no existing col_in or block sum
         // changes; only the new row's col_in must be summed once.
         let mut col_in = 0u64;
         self.adj.walk_out(id, |j| {
@@ -931,9 +928,9 @@ impl<R: AdjStore> Activity for AdjActivity<R> {
         if diag {
             self.adj.add_pair(id, id);
         }
-        // The new slot holds no agents, so existing col_in and row_mass are
-        // untouched; the new row's col_in sums its responder counts (the
-        // diagonal contributes the slot's own zero count).
+        // The new slot holds no agents, so existing col_in and block sums
+        // are untouched; the new row's col_in sums its responder counts
+        // (the diagonal contributes the slot's own zero count).
         self.col_in[id] = out.iter().map(|&j| counts[j as usize]).sum();
     }
 
@@ -941,67 +938,50 @@ impl<R: AdjStore> Activity for AdjActivity<R> {
     // and four inlined copies made small-slot runs (k = 3) measurably slower.
     #[inline(never)]
     fn count_changed(&mut self, slot: usize, delta: i64) {
-        let epoch = self.epoch;
-        let col_in = &mut self.col_in[..];
-        let dirty = &mut self.dirty[..];
-        let stamp = &mut self.stamp[..];
-        // A local queue length stays in a register across the walk.
-        let mut len = self.dirty_len;
+        let old_row = self.mass_of_row(slot);
+        let new_count = self.counts[slot]
+            .checked_add_signed(delta)
+            .expect("state count underflow");
+        // Every other row r active into `slot` gains `delta · c_r`. The
+        // slot's own row is updated separately below, so its count reads as
+        // zero during the walk. In-row walks ascend, so the rows arrive in
+        // runs that share a block: each run's counts sum in a register
+        // (Σ c_r ≤ n < 2^63) and reach its block sum with one multiply.
+        // `col_in[r]` includes the slot's old count, and the new count was
+        // checked non-negative above, so the plain add cannot wrap.
+        self.counts[slot] = 0;
+        let (counts, col_in, block_mass) = (&self.counts, &mut self.col_in, &mut self.block_mass);
+        let (mut block, mut run, mut total) = (0, 0u64, 0u64);
         self.adj.walk_in(slot, |r| {
-            col_in[r] = col_in[r]
-                .checked_add_signed(delta)
-                .expect("col_in underflow");
-            mark_dirty(dirty, &mut len, stamp, epoch, r);
+            col_in[r] = col_in[r].wrapping_add_signed(delta);
+            if r / BLOCK != block {
+                if run > 0 {
+                    shift(&mut block_mass[block], i128::from(delta) * i128::from(run));
+                    total += run;
+                }
+                (block, run) = (r / BLOCK, 0);
+            }
+            run += counts[r];
             true
         });
-        // The slot's own row mass scales with its count even when no active
-        // pair points into it.
-        mark_dirty(dirty, &mut len, stamp, epoch, slot);
-        self.dirty_len = len;
-    }
-
-    fn settle(&mut self, counts: &[u64]) {
-        self.epoch += 1;
-        let dirty = &self.dirty[..self.dirty_len];
-        let Some(&first) = dirty.first() else {
-            return;
-        };
-        // In-row walks ascend, so dirty rows arrive in runs that share a
-        // block: each run's gains and losses accumulate in registers and
-        // reach its block sum and the total once. Adding before subtracting
-        // keeps the signed delta branch-free; every sum is at most
-        // n(n − 1) < 2^126, so the adds cannot wrap.
-        let mut mass = self.mass;
-        let mut block = first as usize / BLOCK;
-        let (mut gain, mut loss) = (0u128, 0u128);
-        for &r32 in dirty {
-            let r = r32 as usize;
-            if r / BLOCK != block {
-                let sum = &mut self.block_mass[block];
-                *sum = (*sum + gain)
-                    .checked_sub(loss)
-                    .expect("block mass underflow");
-                mass = (mass + gain).checked_sub(loss).expect("mass underflow");
-                (block, gain, loss) = (r / BLOCK, 0, 0);
-            }
-            let new = row_mass_of(counts[r], self.col_in[r], self.diag[r]);
-            gain += new;
-            loss += std::mem::replace(&mut self.row_mass[r], new);
-        }
-        let sum = &mut self.block_mass[block];
-        *sum = (*sum + gain)
-            .checked_sub(loss)
-            .expect("block mass underflow");
-        self.mass = (mass + gain).checked_sub(loss).expect("mass underflow");
-        self.dirty_len = 0;
+        shift(&mut block_mass[block], i128::from(delta) * i128::from(run));
+        // The slot's own row moves with both its count and, through an
+        // active diagonal, its col_in.
+        self.counts[slot] = new_count;
+        let own = self.mass_of_row(slot) as i128 - old_row as i128;
+        shift(&mut self.block_mass[slot / BLOCK], own);
+        shift(
+            &mut self.mass,
+            i128::from(delta) * i128::from(total + run) + own,
+        );
     }
 
     fn mass(&self) -> u128 {
         self.mass
     }
 
-    fn row_mass(&self) -> &[u128] {
-        &self.row_mass
+    fn stored_sums(&self) -> Option<(&[u64], &[u128])> {
+        Some((&self.col_in, &self.block_mass))
     }
 
     fn walk_out(&self, i: usize, f: &mut dyn FnMut(usize)) {
@@ -1073,8 +1053,31 @@ mod tests {
         panic!("r = {r} lies past the total mass");
     }
 
+    /// Asserts every sum the index keeps against brute force: each slot's
+    /// `col_in`, each block sum, and the total mass.
+    fn assert_sums_exact<R: AdjStore>(
+        idx: &AdjActivity<R>,
+        active: impl Fn(usize, usize) -> bool,
+        counts: &[u64],
+        what: &str,
+    ) {
+        assert_eq!(idx.block_mass.len(), counts.len().div_ceil(BLOCK), "{what}");
+        let mut blocks = vec![0u128; idx.block_mass.len()];
+        for i in 0..counts.len() {
+            let (mut col_in, mut responders) = (0u64, 0u64);
+            for j in (0..counts.len()).filter(|&j| active(i, j)) {
+                col_in += counts[j];
+                responders += counts[j].saturating_sub(u64::from(i == j));
+            }
+            assert_eq!(idx.col_in[i], col_in, "{what}: col_in of slot {i}");
+            blocks[i / BLOCK] += u128::from(counts[i]) * u128::from(responders);
+        }
+        assert_eq!(idx.block_mass, blocks, "{what}: block sums");
+        assert_eq!(idx.mass(), blocks.iter().sum(), "{what}: mass");
+    }
+
     /// Drives both indexes through an identical random schedule and checks
-    /// them against the brute-force reference at every step.
+    /// them against the brute-force reference after every count change.
     #[test]
     fn all_indexes_agree_with_bruteforce() {
         // Activity rule: (i, j) is active iff (i * 7 + j * 3) % 4 == 0,
@@ -1100,25 +1103,10 @@ mod tests {
             counts[slot] = counts[slot].checked_add_signed(delta).unwrap();
             sparse.count_changed(slot, delta);
             compact.count_changed(slot, delta);
-            sparse.settle(&counts);
-            compact.settle(&counts);
+            assert_sums_exact(&sparse, active, &counts, &format!("sparse round {round}"));
+            assert_sums_exact(&compact, active, &counts, &format!("compact round {round}"));
 
-            let mut expected = 0u128;
-            for i in 0..counts.len() {
-                let mut row = 0u128;
-                for j in 0..counts.len() {
-                    if active(i, j) {
-                        row += u128::from(counts[i])
-                            * u128::from(counts[j].saturating_sub(u64::from(i == j)));
-                    }
-                }
-                assert_eq!(sparse.row_mass()[i], row, "sparse row {i} round {round}");
-                assert_eq!(compact.row_mass()[i], row, "compact row {i} round {round}");
-                expected += row;
-            }
-            assert_eq!(sparse.mass(), expected, "sparse mass round {round}");
-            assert_eq!(compact.mass(), expected, "compact mass round {round}");
-
+            let expected = bruteforce_mass(active, &counts);
             if expected > 0 {
                 for _ in 0..8 {
                     let r = rng.random_range(0..expected);
@@ -1137,27 +1125,12 @@ mod tests {
         assert_eq!(sparse.active_pairs(), compact.active_pairs());
     }
 
-    /// Asserts the block index's invariants: every block sum equals the
-    /// masses of its rows, and the total equals the block sums.
-    fn assert_blocks_consistent<R: AdjStore>(idx: &AdjActivity<R>, what: &str) {
-        assert_eq!(idx.block_mass.len(), idx.row_mass.len().div_ceil(BLOCK));
-        for (b, &m) in idx.block_mass.iter().enumerate() {
-            let rows = &idx.row_mass[b * BLOCK..((b + 1) * BLOCK).min(idx.row_mass.len())];
-            assert_eq!(m, rows.iter().sum::<u128>(), "{what}: block {b}");
-        }
-        assert_eq!(
-            idx.mass,
-            idx.block_mass.iter().sum::<u128>(),
-            "{what}: mass"
-        );
-    }
-
     /// Growing from zero to more than three blocks, with a whole block that
     /// never holds agents (zero-mass block) and every fifth slot empty
-    /// (zero-mass rows inside live blocks), every settle must leave the
-    /// block sums exact and every draw — at `r = 0`, at each block-boundary
-    /// prefix sum, at `mass − 1` and at random `r` — must land on the pair
-    /// the brute-force walk picks.
+    /// (zero-mass rows inside live blocks), every count change must leave
+    /// `col_in`, the block sums and the total exact, and every draw — at
+    /// `r = 0`, at each block-boundary prefix sum, at `mass − 1` and at
+    /// random `r` — must land on the pair the brute-force walk picks.
     #[test]
     fn block_sampling_matches_bruteforce_across_blocks() {
         let active = |i: usize, j: usize| (i + 3 * j).is_multiple_of(17);
@@ -1174,7 +1147,7 @@ mod tests {
                 compact.add_slot(&counts, active);
             }
             let eligible: Vec<usize> = (0..counts.len()).filter(|&s| holds_agents(s)).collect();
-            // Every fourth round batches several changes into one settle.
+            // Every fourth round makes several changes before the draws.
             let batch = if round % 4 == 3 { 8 } else { 1 };
             for _ in 0..batch.min(eligible.len()) {
                 let slot = eligible[rng.random_range(0..eligible.len())];
@@ -1186,16 +1159,22 @@ mod tests {
                 counts[slot] = counts[slot].checked_add_signed(delta).unwrap();
                 sparse.count_changed(slot, delta);
                 compact.count_changed(slot, delta);
+                let slots = counts.len();
+                assert_sums_exact(
+                    &sparse,
+                    active,
+                    &counts,
+                    &format!("sparse at {slots} slots"),
+                );
+                assert_sums_exact(
+                    &compact,
+                    active,
+                    &counts,
+                    &format!("compact at {slots} slots"),
+                );
             }
-            sparse.settle(&counts);
-            compact.settle(&counts);
-            let slots = counts.len();
-            assert_blocks_consistent(&sparse, &format!("sparse at {slots} slots"));
-            assert_blocks_consistent(&compact, &format!("compact at {slots} slots"));
 
             let mass = bruteforce_mass(active, &counts);
-            assert_eq!(sparse.mass(), mass, "sparse mass at {slots} slots");
-            assert_eq!(compact.mass(), mass, "compact mass at {slots} slots");
             if mass == 0 {
                 continue;
             }
@@ -1223,61 +1202,9 @@ mod tests {
         assert!(sparse.block_mass.len() > 3, "grew past three blocks");
         assert_eq!(sparse.block_mass[1], 0, "block 1 stays a zero-mass block");
         assert!(
-            (0..target).any(|s| sparse.row_mass[s] == 0 && sparse.block_mass[s / BLOCK] > 0),
+            (0..target).any(|s| sparse.mass_of_row(s) == 0 && sparse.block_mass[s / BLOCK] > 0),
             "zero-mass rows inside live blocks"
         );
-    }
-
-    /// One settle after many count changes on overlapping in-rows — the
-    /// shape of seeding a configuration or resuming a checkpoint — queues
-    /// every touched row exactly once, although branch-free marking writes
-    /// an entry on every visit.
-    #[test]
-    fn branch_free_marking_queues_each_row_once() {
-        let active = |i: usize, j: usize| (2 * i + j).is_multiple_of(3);
-        let slots = 3 * BLOCK + 8;
-        let mut idx = SparseActivity::default();
-        let mut counts: Vec<u64> = Vec::new();
-        for _ in 0..slots {
-            counts.push(0);
-            idx.add_slot(&counts, active);
-        }
-        let mut touched = vec![false; slots];
-        for (s, c) in counts.iter_mut().enumerate() {
-            *c = 1 + (s as u64 % 4);
-            idx.count_changed(s, *c as i64);
-            touched[s] = true;
-            for (r, t) in touched.iter_mut().enumerate() {
-                *t |= active(r, s);
-            }
-        }
-        let mut queued: Vec<u32> = idx.dirty[..idx.dirty_len].to_vec();
-        assert_eq!(idx.dirty.len(), slots + 1, "queue sized slots + 1");
-        queued.sort_unstable();
-        queued.dedup();
-        assert_eq!(queued.len(), idx.dirty_len, "no row queued twice");
-        assert_eq!(
-            idx.dirty_len,
-            touched.iter().filter(|&&t| t).count(),
-            "every touched row queued"
-        );
-        idx.settle(&counts);
-        assert_eq!(idx.dirty_len, 0);
-        assert_blocks_consistent(&idx, "after one settle");
-        assert_eq!(idx.mass(), bruteforce_mass(active, &counts));
-
-        // A second wave in the next epoch queues afresh.
-        for s in (0..slots).step_by(7) {
-            counts[s] += 1;
-            idx.count_changed(s, 1);
-        }
-        let mut queued: Vec<u32> = idx.dirty[..idx.dirty_len].to_vec();
-        queued.sort_unstable();
-        queued.dedup();
-        assert_eq!(queued.len(), idx.dirty_len, "no row queued twice");
-        idx.settle(&counts);
-        assert_blocks_consistent(&idx, "after the second settle");
-        assert_eq!(idx.mass(), bruteforce_mass(active, &counts));
     }
 
     #[test]
@@ -1296,7 +1223,6 @@ mod tests {
             *c = big;
             sparse.count_changed(slot, big as i64);
         }
-        sparse.settle(&counts);
         let expected = 2 * u128::from(big) * u128::from(big);
         assert!(expected > u128::from(u64::MAX));
         assert_eq!(sparse.mass(), expected);
@@ -1358,8 +1284,6 @@ mod tests {
             counts[slot] += delta as u64;
             shared.count_changed(slot, delta);
             sparse.count_changed(slot, delta);
-            shared.settle(&counts);
-            sparse.settle(&counts);
             assert_eq!(shared.mass(), sparse.mass());
             if shared.mass() > 0 {
                 for _ in 0..6 {
@@ -1438,10 +1362,7 @@ mod tests {
         for _ in 0..100 {
             let slot = rng.random_range(0..slots);
             counts[slot] += 2;
-            each!(idx => {
-                idx.count_changed(slot, 2);
-                idx.settle(&counts);
-            });
+            each!(idx => idx.count_changed(slot, 2));
             let mass = inc_sparse.mass();
             each!(idx => assert_eq!(idx.mass(), mass));
             if mass > 0 {
@@ -1472,8 +1393,6 @@ mod tests {
             compact.count_changed(s, *c as i64);
             sparse.count_changed(s, *c as i64);
         }
-        compact.settle(&counts);
-        sparse.settle(&counts);
         assert_eq!(compact.mass(), sparse.mass());
         let mut rng = StdRng::seed_from_u64(51);
         for _ in 0..200 {

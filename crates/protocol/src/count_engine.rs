@@ -17,8 +17,9 @@
 //! Which slot pairs are *active* (state-changing), how much sampling weight
 //! they carry and how a conditional change-pair is drawn is delegated to an
 //! [`Activity`] index — [`SparseActivity`] by default (per-slot adjacency
-//! lists, `O(dirty)` settlement, draws through 64-row block sums in
-//! `O(slots/64 + 64 + deg)` per change-point), or [`CompactActivity`] for
+//! lists; each count delta walks one in-row and moves the 64-row block sums
+//! directly, with no settlement pass; draws compute one block's row masses
+//! in `O(slots/64 + 64 + deg)` per change-point), or [`CompactActivity`] for
 //! large slot tables; see [`activity`](crate::activity) for the cost model.
 //! All pair-weight arithmetic is `u128`, so populations up to `2^63 − 1`
 //! agents are supported — far past the former `u32::MAX` cap.
@@ -33,7 +34,7 @@ use crate::hashing::FxBuildHasher;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
-use crate::activity::{Activity, AdjRows, CompactActivity, SparseActivity};
+use crate::activity::{Activity, AdjRows, CompactActivity, SparseActivity, BLOCK};
 use crate::config::CountConfig;
 use crate::count_trace::CountTrace;
 use crate::error::FrameworkError;
@@ -83,13 +84,19 @@ pub struct CountEngine<'p, P: Protocol, CS = UniformCountScheduler, A = SparseAc
     rng: R,
     /// Dense slot arrays; slots are append-only so ids stay stable.
     states: Vec<P::State>,
-    outs: Vec<P::Output>,
     counts: Vec<u64>,
     index: HashMap<P::State, usize, FxBuildHasher>,
     n: u64,
     activity: A,
     stats: SimStats,
-    output_counts: BTreeMap<P::Output, usize>,
+    /// Output class id of each slot; slots with equal outputs share one.
+    out_class: Vec<u32>,
+    /// Output → class id, for every output some slot has carried.
+    classes: BTreeMap<P::Output, u32>,
+    /// Agents per output class, by class id.
+    class_counts: Vec<u64>,
+    /// Number of output classes holding agents.
+    live_classes: usize,
     last_disagreement: Option<u64>,
     /// When recording, the state pairs of every applied change-point.
     trace: Option<Vec<(P::State, P::State)>>,
@@ -97,10 +104,9 @@ pub struct CountEngine<'p, P: Protocol, CS = UniformCountScheduler, A = SparseAc
     /// (one transition call per unordered pair) and lets symmetric-aware
     /// activity indexes share row storage.
     symmetric: bool,
-    /// Memoized transition outcomes of applied active pairs,
-    /// `(i, j) → (target_i, target_j)` by slot id. Populated lazily; seeded
-    /// from a [`TransitionTable`] on warm starts.
-    outcomes: HashMap<(u32, u32), (u32, u32), FxBuildHasher>,
+    /// Memoized transition outcomes of applied active pairs. Populated
+    /// lazily, from the protocol or from a warm snapshot.
+    outcomes: OutcomeMemo,
     /// Outcomes memoized by *this* engine from protocol calls (not from a
     /// warm snapshot), so exports back to the source table merge `O(new)`
     /// entries instead of re-proposing the whole memo.
@@ -159,6 +165,56 @@ pub type CompactCountEngine<'p, P, CS = UniformCountScheduler, R = StdRng> =
 /// cap, applications recompute through the protocol — slower, never wrong.
 const OUTCOME_MEMO_CAP: usize = 1 << 22;
 
+/// Slot pairs with both ids below this memoize their outcomes in a flat
+/// table instead of the hash map.
+const FLAT_MEMO_SLOTS: usize = 64;
+
+/// Memoized transition outcomes, `(i, j) → (target_i, target_j)` by slot
+/// id: a flat `FLAT_MEMO_SLOTS²` table while both slots are below
+/// [`FLAT_MEMO_SLOTS`], a hash map beyond that, at most
+/// [`OUTCOME_MEMO_CAP`] entries in all.
+struct OutcomeMemo {
+    /// Row-major over `(i, j)`; [`NO_ID`] targets mark an empty entry.
+    flat: Vec<(u32, u32)>,
+    map: HashMap<(u32, u32), (u32, u32), FxBuildHasher>,
+    len: usize,
+}
+
+impl OutcomeMemo {
+    fn new() -> Self {
+        OutcomeMemo {
+            flat: vec![(NO_ID, NO_ID); FLAT_MEMO_SLOTS * FLAT_MEMO_SLOTS],
+            map: HashMap::with_hasher(FxBuildHasher::default()),
+            len: 0,
+        }
+    }
+
+    #[inline]
+    fn get(&self, i: usize, j: usize) -> Option<(usize, usize)> {
+        let (a, b) = if i < FLAT_MEMO_SLOTS && j < FLAT_MEMO_SLOTS {
+            self.flat[i * FLAT_MEMO_SLOTS + j]
+        } else {
+            *self.map.get(&(i as u32, j as u32))?
+        };
+        (a != NO_ID).then_some((a as usize, b as usize))
+    }
+
+    /// Memoizes the outcome unless the memo is full; returns whether it did.
+    fn insert(&mut self, i: usize, j: usize, a: usize, b: usize) -> bool {
+        if self.len >= OUTCOME_MEMO_CAP {
+            return false;
+        }
+        let outcome = (a as u32, b as u32);
+        if i < FLAT_MEMO_SLOTS && j < FLAT_MEMO_SLOTS {
+            self.flat[i * FLAT_MEMO_SLOTS + j] = outcome;
+        } else {
+            self.map.insert((i as u32, j as u32), outcome);
+        }
+        self.len += 1;
+        true
+    }
+}
+
 /// Builds the scheduler-facing view from engine fields. A macro rather than
 /// a method so the scheduler and RNG fields stay independently borrowable.
 macro_rules! view {
@@ -167,7 +223,6 @@ macro_rules! view {
             states: &$self.states,
             counts: &$self.counts,
             n: $self.n,
-            row_mass: $self.activity.row_mass(),
             mass: $self.activity.mass(),
             sampler: &$self.activity,
         }
@@ -177,15 +232,18 @@ macro_rules! view {
 /// Which quantity [`CountEngine::audit`] found out of sync.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AuditQuantity {
-    /// A slot's row mass, against `c_i · Σ_{j ∈ out(i)} (c_j − [i = j])`
+    /// A slot's in-column sum `col_in[i]`, against `Σ_{j ∈ out(i)} c_j`
     /// over the activity index's own adjacency.
-    RowMass,
+    ColIn,
+    /// A 64-row block's mass sum, against the recomputed row masses
+    /// `c_i · Σ_{j ∈ out(i)} (c_j − [i = j])` of its slots.
+    BlockMass,
     /// The total mass, against the sum of the recomputed row masses.
     Mass,
     /// The population size `n`, against the sum of the slot counts.
     Population,
     /// An output class's size, against the summed counts of the slots
-    /// carrying that output.
+    /// carrying that output; or the number of classes holding agents.
     OutputHistogram,
 }
 
@@ -195,8 +253,9 @@ pub enum AuditQuantity {
 pub struct AuditError {
     /// The quantity out of sync.
     pub quantity: AuditQuantity,
-    /// The initiator slot of a row mass, or the lowest slot carrying an
-    /// output class; `None` for totals and for a class no slot carries.
+    /// The slot of a `col_in` entry, the first slot of a block, or the
+    /// lowest slot carrying an output class; `None` for totals and for the
+    /// number of classes holding agents.
     pub slot: Option<usize>,
     /// The engine's incrementally maintained value.
     pub stored: u128,
@@ -340,17 +399,19 @@ where
             scheduler,
             rng,
             states: Vec::with_capacity(distinct),
-            outs: Vec::with_capacity(distinct),
             counts: Vec::with_capacity(distinct),
             index: HashMap::with_capacity_and_hasher(distinct, FxBuildHasher::default()),
             n: 0,
             activity,
             stats: SimStats::default(),
-            output_counts: BTreeMap::new(),
+            out_class: Vec::with_capacity(distinct),
+            classes: BTreeMap::new(),
+            class_counts: Vec::new(),
+            live_classes: 0,
             last_disagreement: None,
             trace: None,
             symmetric,
-            outcomes: HashMap::with_hasher(FxBuildHasher::default()),
+            outcomes: OutcomeMemo::new(),
             new_outcomes: Vec::new(),
             warm: None,
         }
@@ -372,13 +433,9 @@ where
             let slot = self.index[s];
             self.counts[slot] = c as u64;
             self.activity.count_changed(slot, c as i64);
-            *self
-                .output_counts
-                .entry(self.outs[slot].clone())
-                .or_insert(0) += c;
+            self.add_output(slot, c as u64);
         }
-        self.activity.settle(&self.counts);
-        if self.output_counts.len() > 1 {
+        if self.live_classes > 1 {
             self.last_disagreement = Some(0);
         }
     }
@@ -422,9 +479,14 @@ where
         self.protocol
     }
 
-    /// Histogram of current outputs.
-    pub fn output_counts(&self) -> &BTreeMap<P::Output, usize> {
-        &self.output_counts
+    /// Histogram of current outputs, built on demand from the per-class
+    /// counts; outputs no agent holds are absent.
+    pub fn output_counts(&self) -> BTreeMap<P::Output, usize> {
+        self.classes
+            .iter()
+            .filter(|&(_, &class)| self.class_counts[class as usize] > 0)
+            .map(|(out, &class)| (out.clone(), self.class_counts[class as usize] as usize))
+            .collect()
     }
 
     /// Pre-registers states as slots (with zero agents), forcing their
@@ -442,45 +504,57 @@ where
     }
 
     /// Recomputes the engine's incremental bookkeeping from scratch and
-    /// compares: every slot's row mass from `counts` and the activity
-    /// index's own adjacency ([`Activity::walk_out`]), their sum against
-    /// [`mass`](Self::mass), `Σ counts` against [`n`](Self::n), and the
-    /// output histogram from the slot counts. `O(slots + active pairs)`.
+    /// compares: every slot's `col_in` and every 64-row block's mass sum
+    /// (when the activity index [keeps them](Activity::stored_sums)) from
+    /// `counts` and the index's own adjacency ([`Activity::walk_out`]), the
+    /// total [`mass`](Self::mass), `Σ counts` against [`n`](Self::n), and
+    /// the output histogram from the slot counts. `O(slots + active pairs)`.
     ///
     /// # Errors
     ///
-    /// Returns the first mismatch, in that order (row masses by ascending
-    /// slot), as an [`AuditError`] naming the quantity and the slot.
+    /// Returns the first mismatch as an [`AuditError`] naming the quantity
+    /// and the slot: `col_in` by ascending slot, each block's sum after its
+    /// last slot, then the totals, then the output classes by their lowest
+    /// slot and the number of classes holding agents.
     pub fn audit(&self) -> Result<(), AuditError> {
         use AuditQuantity::*;
-        let mut mass = 0u128;
+        let sums = self.activity.stored_sums();
+        let (mut mass, mut block) = (0u128, 0u128);
         for (i, &ci) in self.counts.iter().enumerate() {
-            let mut responders = 0u128;
+            let (mut col_in, mut responders) = (0u128, 0u128);
             self.activity.walk_out(i, &mut |j| {
+                col_in += u128::from(self.counts[j]);
                 responders += u128::from(self.counts[j].saturating_sub(u64::from(i == j)));
             });
             let row = u128::from(ci) * responders;
-            AuditError::check(RowMass, Some(i), self.activity.row_mass()[i], row)?;
             mass += row;
+            block += row;
+            let Some((stored_col_in, stored_blocks)) = sums else {
+                continue;
+            };
+            AuditError::check(ColIn, Some(i), u128::from(stored_col_in[i]), col_in)?;
+            if (i + 1) % BLOCK == 0 || i + 1 == self.counts.len() {
+                let b = i / BLOCK;
+                AuditError::check(BlockMass, Some(b * BLOCK), stored_blocks[b], block)?;
+                block = 0;
+            }
         }
         AuditError::check(Mass, None, self.activity.mass(), mass)?;
         let counted = self.counts.iter().map(|&c| u128::from(c)).sum();
         AuditError::check(Population, None, u128::from(self.n), counted)?;
-        // Class → (lowest slot with that output, summed counts).
-        let mut histogram: BTreeMap<&P::Output, (usize, u128)> = BTreeMap::new();
-        for (slot, (out, &c)) in self.outs.iter().zip(&self.counts).enumerate() {
-            histogram.entry(out).or_insert((slot, 0)).1 += u128::from(c);
+        // Class id → (lowest slot carrying it, summed counts). Ids follow
+        // slot creation, so they ascend with their lowest slot.
+        let mut histogram = vec![(usize::MAX, 0u128); self.class_counts.len()];
+        for (slot, (&class, &c)) in self.out_class.iter().zip(&self.counts).enumerate() {
+            let entry = &mut histogram[class as usize];
+            entry.0 = entry.0.min(slot);
+            entry.1 += u128::from(c);
         }
-        for (out, &(slot, recomputed)) in &histogram {
-            let stored = self.output_counts.get(*out).map_or(0, |&c| c as u128);
-            AuditError::check(OutputHistogram, Some(slot), stored, recomputed)?;
+        for (&stored, &(slot, recomputed)) in self.class_counts.iter().zip(&histogram) {
+            AuditError::check(OutputHistogram, Some(slot), stored.into(), recomputed)?;
         }
-        for (out, &stored) in &self.output_counts {
-            if !histogram.contains_key(out) {
-                AuditError::check(OutputHistogram, None, stored as u128, 0)?;
-            }
-        }
-        Ok(())
+        let live = histogram.iter().filter(|&&(_, c)| c > 0).count() as u128;
+        AuditError::check(OutputHistogram, None, self.live_classes as u128, live)
     }
 
     /// Starts recording the state pairs of applied change-points; see
@@ -521,8 +595,11 @@ where
 
     /// A [`RunReport`] snapshot of the execution so far.
     pub fn report(&self) -> RunReport<P::Output> {
-        let consensus = if self.output_counts.len() == 1 {
-            self.output_counts.keys().next().cloned()
+        let consensus = if self.live_classes == 1 {
+            self.classes
+                .iter()
+                .find(|&(_, &class)| self.class_counts[class as usize] > 0)
+                .map(|(out, _)| out.clone())
         } else {
             None
         };
@@ -563,7 +640,7 @@ where
             self.stats.last_change_step = self.stats.steps;
             self.apply(i, j);
         }
-        if self.output_counts.len() > 1 {
+        if self.live_classes > 1 {
             self.last_disagreement = Some(self.stats.steps);
         }
         Ok(changed)
@@ -718,7 +795,7 @@ where
     pub(crate) fn advance_one_change(&mut self, budget: u64) {
         let view = view!(self);
         let draw = self.scheduler.next_change(&view, budget, &mut self.rng);
-        let disagreeing = self.output_counts.len() > 1;
+        let disagreeing = self.live_classes > 1;
         self.stats.steps += draw.skipped;
         if disagreeing && draw.skipped > 0 {
             // Outputs cannot change during null interactions, so the
@@ -730,7 +807,7 @@ where
             self.stats.state_changes += 1;
             self.stats.last_change_step = self.stats.steps;
             self.apply(i, j);
-            if self.output_counts.len() > 1 {
+            if self.live_classes > 1 {
                 self.last_disagreement = Some(self.stats.steps);
             }
         }
@@ -746,18 +823,15 @@ where
     /// [`OUTCOME_MEMO_CAP`]: past that, misses simply recompute
     /// (correctness never depends on a hit).
     fn apply(&mut self, i: usize, j: usize) {
-        let key = (i as u32, j as u32);
-        let (ai, bi) = if let Some(&(a, b)) = self.outcomes.get(&key) {
-            (a as usize, b as usize)
+        let (ai, bi) = if let Some(outcome) = self.outcomes.get(i, j) {
+            outcome
         } else if let Some((a, b)) = self.warm_outcome(i, j) {
             let ai = self.ensure_slot(a);
             let bi = self.ensure_slot(b);
-            if self.outcomes.len() < OUTCOME_MEMO_CAP {
-                // Not pushed to `new_outcomes`: the snapshot's source
-                // segments already publish this entry, so exporting it
-                // again would only be deduplicated away.
-                self.outcomes.insert(key, (ai as u32, bi as u32));
-            }
+            // Not pushed to `new_outcomes`: the snapshot's source segments
+            // already publish this entry, so exporting it again would only
+            // be deduplicated away.
+            self.outcomes.insert(i, j, ai, bi);
             (ai, bi)
         } else {
             let (a, b) = self.protocol.transition(&self.states[i], &self.states[j]);
@@ -767,9 +841,9 @@ where
             );
             let ai = self.ensure_slot(a);
             let bi = self.ensure_slot(b);
-            if self.outcomes.len() < OUTCOME_MEMO_CAP {
-                self.outcomes.insert(key, (ai as u32, bi as u32));
-                self.new_outcomes.push((key, (ai as u32, bi as u32)));
+            if self.outcomes.insert(i, j, ai, bi) {
+                self.new_outcomes
+                    .push(((i as u32, j as u32), (ai as u32, bi as u32)));
             }
             (ai, bi)
         };
@@ -778,8 +852,8 @@ where
         }
         // Output histogram: the two participating agents leave their old
         // output classes and join the new ones.
-        self.shift_output(i, ai);
-        self.shift_output(j, bi);
+        self.shift_output(i, ai, 1);
+        self.shift_output(j, bi, 1);
         // Coalesced count deltas (slots may repeat, e.g. a diagonal pair).
         let mut deltas: [(usize, i64); 4] = [(i, -1), (j, -1), (ai, 1), (bi, 1)];
         for idx in 0..4 {
@@ -800,7 +874,6 @@ where
                 .expect("state count underflow");
             self.activity.count_changed(t, d);
         }
-        self.activity.settle(&self.counts);
     }
 
     /// Resolves the transition of engine-slot pair `(i, j)` from the warm
@@ -818,11 +891,6 @@ where
         Some((warm.snap.state(ta).clone(), warm.snap.state(tb).clone()))
     }
 
-    /// Moves one agent from output class `outs[from]` to `outs[to]`.
-    fn shift_output(&mut self, from: usize, to: usize) {
-        self.shift_output_mass(from, to, 1);
-    }
-
     /// Returns the slot of `state`, creating it when unseen — in exactly the
     /// order a cold run would, which is what makes slot numbering canonical.
     /// Warm engines ingest the activity of table-known states from the
@@ -836,7 +904,15 @@ where
         }
         let idx = self.states.len();
         self.index.insert(state.clone(), idx);
-        self.outs.push(self.protocol.output(&state));
+        let next = self.class_counts.len() as u32;
+        let class = *self
+            .classes
+            .entry(self.protocol.output(&state))
+            .or_insert(next);
+        if class == next {
+            self.class_counts.push(0);
+        }
+        self.out_class.push(class);
         self.states.push(state);
         self.counts.push(0);
         if let Some(warm) = &mut self.warm {
@@ -952,12 +1028,11 @@ where
         if to_slot == from_slot {
             return Ok(());
         }
-        self.shift_output_mass(from_slot, to_slot, amount as usize);
+        self.shift_output(from_slot, to_slot, amount);
         self.counts[from_slot] -= amount;
         self.activity.count_changed(from_slot, -(amount as i64));
         self.counts[to_slot] += amount;
         self.activity.count_changed(to_slot, amount as i64);
-        self.activity.settle(&self.counts);
         self.note_disagreement();
         Ok(())
     }
@@ -983,13 +1058,9 @@ where
             },
         )?;
         let slot = self.ensure_slot(state);
-        *self
-            .output_counts
-            .entry(self.outs[slot].clone())
-            .or_insert(0) += amount as usize;
+        self.add_output(slot, amount);
         self.counts[slot] += amount;
         self.activity.count_changed(slot, amount as i64);
-        self.activity.settle(&self.counts);
         self.note_disagreement();
         Ok(())
     }
@@ -1010,18 +1081,9 @@ where
         }
         let slot = self.slot_holding(state, amount)?;
         self.n -= amount;
-        let out = self
-            .output_counts
-            .get_mut(&self.outs[slot])
-            .expect("output histogram out of sync");
-        *out -= amount as usize;
-        if *out == 0 {
-            let key = self.outs[slot].clone();
-            self.output_counts.remove(&key);
-        }
+        self.remove_output(slot, amount);
         self.counts[slot] -= amount;
         self.activity.count_changed(slot, -(amount as i64));
-        self.activity.settle(&self.counts);
         self.note_disagreement();
         Ok(())
     }
@@ -1044,29 +1106,36 @@ where
         Ok(slot)
     }
 
-    /// Moves `amount` agents from output class `outs[from]` to `outs[to]`.
-    fn shift_output_mass(&mut self, from: usize, to: usize, amount: usize) {
-        let old = &self.outs[from];
-        let new = &self.outs[to];
-        if old == new {
-            return;
+    /// Moves `amount` agents from slot `from`'s output class to slot
+    /// `to`'s.
+    fn shift_output(&mut self, from: usize, to: usize, amount: u64) {
+        if self.out_class[from] != self.out_class[to] {
+            self.remove_output(from, amount);
+            self.add_output(to, amount);
         }
-        let slot = self
-            .output_counts
-            .get_mut(old)
+    }
+
+    /// Adds `amount > 0` agents to slot `slot`'s output class.
+    fn add_output(&mut self, slot: usize, amount: u64) {
+        debug_assert!(amount > 0, "an empty shift would miscount live classes");
+        let held = &mut self.class_counts[self.out_class[slot] as usize];
+        self.live_classes += usize::from(*held == 0);
+        *held += amount;
+    }
+
+    /// Removes `amount` agents from slot `slot`'s output class.
+    fn remove_output(&mut self, slot: usize, amount: u64) {
+        let held = &mut self.class_counts[self.out_class[slot] as usize];
+        *held = held
+            .checked_sub(amount)
             .expect("output histogram out of sync");
-        *slot -= amount;
-        if *slot == 0 {
-            let key = old.clone();
-            self.output_counts.remove(&key);
-        }
-        *self.output_counts.entry(new.clone()).or_insert(0) += amount;
+        self.live_classes -= usize::from(*held == 0);
     }
 
     /// Records an output disagreement at the current step, keeping
     /// `steps_to_consensus` honest after a perturbation re-splits outputs.
     fn note_disagreement(&mut self) {
-        if self.output_counts.len() > 1 {
+        if self.live_classes > 1 {
             self.last_disagreement = Some(self.stats.steps);
         }
     }
@@ -1394,12 +1463,8 @@ where
             }
             engine.counts[slot] = c;
             engine.activity.count_changed(slot, c as i64);
-            *engine
-                .output_counts
-                .entry(engine.outs[slot].clone())
-                .or_insert(0) += c as usize;
+            engine.add_output(slot, c);
         }
-        engine.activity.settle(&engine.counts);
         engine.stats = checkpoint.stats;
         engine.last_disagreement = checkpoint.last_disagreement;
         if let Some(pairs) = &checkpoint.trace {
@@ -1536,7 +1601,23 @@ mod tests {
         engine.counts[2] += 1;
         assert_eq!(
             engine.audit(),
-            mismatch(AuditQuantity::RowMass, Some(0), 2, 3)
+            mismatch(AuditQuantity::ColIn, Some(0), 2, 3)
+        );
+
+        // Every pair of distinct states is active: each slot's col_in is 2
+        // and each row mass 1 · 2, so the one block sums to 6.
+        let mut engine = fresh();
+        engine.activity.col_in[1] += 1;
+        assert_eq!(
+            engine.audit(),
+            mismatch(AuditQuantity::ColIn, Some(1), 3, 2)
+        );
+
+        let mut engine = fresh();
+        engine.activity.block_mass[0] += 1;
+        assert_eq!(
+            engine.audit(),
+            mismatch(AuditQuantity::BlockMass, Some(0), 7, 6)
         );
 
         let mut engine = fresh();
@@ -1547,7 +1628,7 @@ mod tests {
         );
 
         let mut engine = fresh();
-        *engine.output_counts.get_mut(&2).unwrap() += 1;
+        engine.class_counts[1] += 1;
         let err = engine.audit().unwrap_err();
         assert_eq!(
             Err(err),
@@ -1559,10 +1640,10 @@ mod tests {
         );
 
         let mut engine = fresh();
-        engine.output_counts.insert(9, 1);
+        engine.live_classes += 1;
         assert_eq!(
             engine.audit(),
-            mismatch(AuditQuantity::OutputHistogram, None, 1, 0)
+            mismatch(AuditQuantity::OutputHistogram, None, 4, 3)
         );
     }
 

@@ -23,9 +23,9 @@
 //! - [`CountEngine`]: the batched count-based engine, driven by any
 //!   [`CountScheduler`] — it samples interacting *state pairs* instead of
 //!   agent indices and jumps between change-points in one draw. Its
-//!   [`Activity`] index (sparse adjacency, dirty-row settlement and 64-row
-//!   block sums for sampling, with a compressed-row variant for large slot
-//!   tables) and `u128` pair weights scale it to populations of billions of
+//!   [`Activity`] index (sparse adjacency, `col_in` and 64-row block sums
+//!   kept exact by each count delta's in-row walk, with a compressed-row
+//!   variant for large slot tables) and `u128` pair weights scale it to populations of billions of
 //!   agents.
 //! - [`InteractionTrace`]: record/replay of indexed interaction schedules;
 //!   [`CountTrace`]: its count-level analogue — the JSONL change-point

@@ -19,10 +19,12 @@
 //! silent-heavy runs advance in one draw per change-point instead of one draw
 //! per interaction. The conditional change-pair draw itself is answered by
 //! the engine's [`Activity`](crate::activity::Activity) index through
-//! [`CountView::sample_change`] — a scan of 64-row block sums, then of one
-//! block's rows, then an adjacency walk (`O(slots/64 + 64 + deg)`) on the
-//! default sparse index. All pair weights are `u128`, so populations beyond
-//! `u32::MAX` sample without overflow.
+//! [`CountView::sample_change`] — a scan of 64-row block sums, then the row
+//! masses of one block, computed on the fly from each row's count and
+//! in-column sum, then an adjacency walk (`O(slots/64 + 64 + deg)`) on the
+//! default sparse index. The view exposes only the total `mass`: the index
+//! stores no per-row masses. All pair weights are `u128`, so populations
+//! beyond `u32::MAX` sample without overflow.
 
 use rand::{RngCore, RngExt};
 
@@ -41,11 +43,9 @@ pub struct CountView<'a, S> {
     pub counts: &'a [u64],
     /// Total number of agents.
     pub n: u64,
-    /// Per-initiator-slot total weight of *active* (state-changing) ordered
-    /// pairs: `row_mass[i] = Σ_j active(i, j) · c_i · (c_j − [i = j])`.
-    pub row_mass: &'a [u128],
-    /// Total active weight: `Σ_i row_mass[i]`. Zero iff the configuration is
-    /// silent.
+    /// Total weight of *active* (state-changing) ordered pairs:
+    /// `Σ_{(i, j) active} c_i · (c_j − [i = j])`. Zero iff the
+    /// configuration is silent.
     pub mass: u128,
     /// The engine's activity index, answering pair-activity and conditional
     /// sampling queries.
@@ -78,9 +78,10 @@ impl<S> CountView<'_, S> {
     /// Maps the `r`-th unit of active weight (`r < mass`) to its ordered
     /// slot pair: pairs are ordered by initiator slot then responder slot,
     /// each spanning its [`pair_weight`](Self::pair_weight). The activity
-    /// index answers by scanning its 64-row block sums, then the rows of
-    /// one block, then one out-row; every index walks rows in ascending
-    /// slot order, so the same `r` yields the same pair on any of them.
+    /// index answers by scanning its 64-row block sums, then the row masses
+    /// of one block (computed per draw), then one out-row; every index
+    /// walks rows in ascending slot order, so the same `r` yields the same
+    /// pair on any of them.
     ///
     /// # Panics
     ///
@@ -375,7 +376,6 @@ mod tests {
     fn view<'a>(
         states: &'a [u8],
         counts: &'a [u64],
-        row_mass: &'a [u128],
         mass: u128,
         sampler: &'a GridSampler,
     ) -> CountView<'a, u8> {
@@ -383,7 +383,6 @@ mod tests {
             states,
             counts,
             n: counts.iter().sum(),
-            row_mass,
             mass,
             sampler,
         }
@@ -398,8 +397,7 @@ mod tests {
             null: vec![false; 4],
             stride: 2,
         };
-        let row_mass = [3 * 2 + 3, 3];
-        let v = view(&states, &counts, &row_mass, 12, &sampler);
+        let v = view(&states, &counts, 12, &sampler);
         let mut s = UniformCountScheduler::new();
         let mut rng = StdRng::seed_from_u64(1);
         let mut seen = std::collections::HashSet::new();
@@ -423,8 +421,7 @@ mod tests {
             null: vec![true],
             stride: 1,
         };
-        let row_mass = [0u128];
-        let v = view(&states, &counts, &row_mass, 0, &sampler);
+        let v = view(&states, &counts, 0, &sampler);
         let mut s = UniformCountScheduler::new();
         let mut rng = StdRng::seed_from_u64(2);
         let draw = CountScheduler::<u8>::next_change(&mut s, &v, 17, &mut rng);
@@ -447,8 +444,7 @@ mod tests {
             null: vec![true, false, false, true],
             stride: 2,
         };
-        let row_mass = [4u128, 4];
-        let v = view(&states, &counts, &row_mass, 8, &sampler);
+        let v = view(&states, &counts, 8, &sampler);
         let mut s = UniformCountScheduler::new();
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..500 {
@@ -468,8 +464,7 @@ mod tests {
             null: vec![true, false, true, true],
             stride: 2,
         };
-        let row_mass = [9u128, 0];
-        let v = view(&states, &counts, &row_mass, 9, &sampler);
+        let v = view(&states, &counts, 9, &sampler);
         let mut s = UniformCountScheduler::new();
         let mut rng = StdRng::seed_from_u64(4);
         let trials = 20_000;
@@ -493,8 +488,7 @@ mod tests {
             stride: 2,
         };
         // row 0: (0,0) weight 3·2 = 6, (0,1) weight 3·2 = 6.
-        let row_mass = [12u128, 0];
-        let v = view(&states, &counts, &row_mass, 12, &sampler);
+        let v = view(&states, &counts, 12, &sampler);
         assert_eq!(v.pair_weight(0, 0), 6);
         assert_eq!(v.pair_weight(0, 1), 6);
         assert_eq!(v.pair_weight(1, 0), 0, "null pair weighs nothing");
@@ -515,8 +509,7 @@ mod tests {
             null: vec![false],
             stride: 1,
         };
-        let row_mass = [2u128];
-        let v = view(&states, &counts, &row_mass, 2, &sampler);
+        let v = view(&states, &counts, 2, &sampler);
         let _ = v.sample_change(2);
     }
 
@@ -528,8 +521,7 @@ mod tests {
             null: vec![false; 4],
             stride: 2,
         };
-        let row_mass = [2u128, 2 + 1];
-        let v = view(&states, &counts, &row_mass, 5, &sampler);
+        let v = view(&states, &counts, 5, &sampler);
         let mut s = ReplayCountScheduler::new(vec![(9u8, 7u8), (9, 9)]);
         let mut rng = StdRng::seed_from_u64(5);
         assert_eq!(s.next_slot_pair(&v, &mut rng), (1, 0));
