@@ -40,6 +40,8 @@
 //! All pair-weight arithmetic is `u128`, so populations are no longer capped
 //! at `u32::MAX` agents (the engine accepts up to `2^63 − 1`).
 
+use crate::count_engine::{AuditError, AuditQuantity};
+
 /// Read-only sampling interface over an activity index, used by
 /// [`CountView`](crate::CountView) to answer scheduler queries without
 /// exposing the index representation.
@@ -132,10 +134,10 @@ pub trait Activity: PairSampling + Default {
     /// sampling structure exact.
     fn count_changed(&mut self, slot: usize, delta: i64);
 
-    /// Does nothing. Indexes stay exact after every
-    /// [`count_changed`](Activity::count_changed) and the engine never calls
-    /// this; it is kept only so that wrapper indexes forwarding to it (the
-    /// repository benchmark's timing wrapper) still compile.
+    /// Does nothing: indexes stay exact after every
+    /// [`count_changed`](Activity::count_changed). The engine still calls it
+    /// once per applied change-point, after the count deltas, only because
+    /// the repository benchmark's timing wrapper forwards and counts it.
     fn settle(&mut self, _counts: &[u64]) {}
 
     /// Total weight of active ordered pairs; zero iff the configuration is
@@ -149,12 +151,16 @@ pub trait Activity: PairSampling + Default {
         &[]
     }
 
-    /// The incremental sums this index keeps, for
-    /// [`CountEngine::audit`](crate::CountEngine::audit) to recompute: every
-    /// slot's `col_in[i] = Σ_{j ∈ out(i)} c_j` and one mass sum per
-    /// 64-row block of initiator slots. The default has nothing to check.
-    fn stored_sums(&self) -> Option<(&[u64], &[u128])> {
-        None
+    /// Recomputes the incremental sums this index keeps from `counts` and
+    /// its own adjacency and returns the first mismatch, for
+    /// [`CountEngine::audit`](crate::CountEngine::audit). The default has
+    /// nothing to check.
+    ///
+    /// # Errors
+    ///
+    /// The first stored sum that differs from its recomputed value.
+    fn audit_sums(&self, _counts: &[u64]) -> Result<(), AuditError> {
+        Ok(())
     }
 
     /// Visits the active out-neighbors of slot `i` in ascending order —
@@ -758,7 +764,7 @@ impl AdjStore for CompactAdj {
 /// Rows per block of the sampling index: [`AdjActivity`] keeps one mass
 /// sum per block, so a draw scans `slots / BLOCK` block sums and then
 /// computes at most `BLOCK` row masses.
-pub(crate) const BLOCK: usize = 64;
+const BLOCK: usize = 64;
 
 /// Adjacency-list activity index generic over its row storage — see the
 /// [module docs](self). [`SparseActivity`] and [`CompactActivity`] are the
@@ -980,8 +986,26 @@ impl<R: AdjStore> Activity for AdjActivity<R> {
         self.mass
     }
 
-    fn stored_sums(&self) -> Option<(&[u64], &[u128])> {
-        Some((&self.col_in, &self.block_mass))
+    /// Checks every slot's `col_in[i] = Σ_{j ∈ out(i)} c_j` by ascending
+    /// slot and each block's sum after its last slot.
+    fn audit_sums(&self, counts: &[u64]) -> Result<(), AuditError> {
+        use AuditQuantity::{BlockMass, ColIn};
+        for (b, &stored) in self.block_mass.iter().enumerate() {
+            let start = b * BLOCK;
+            let mut block = 0u128;
+            for i in start..counts.len().min(start + BLOCK) {
+                let (mut col_in, mut responders) = (0u128, 0u128);
+                self.adj.walk_out(i, |j| {
+                    col_in += u128::from(counts[j]);
+                    responders += u128::from(counts[j].saturating_sub(u64::from(i == j)));
+                    true
+                });
+                AuditError::check(ColIn, Some(i), self.col_in[i].into(), col_in)?;
+                block += u128::from(counts[i]) * responders;
+            }
+            AuditError::check(BlockMass, Some(start), stored, block)?;
+        }
+        Ok(())
     }
 
     fn walk_out(&self, i: usize, f: &mut dyn FnMut(usize)) {

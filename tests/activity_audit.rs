@@ -106,13 +106,12 @@ fn audits_hold(k: u16, n: u64, seed: u64, every: u64) {
     let cold = || engine::<SparseActivity>(&protocol, &config, seed, None);
     let (expected, table) = perturbed_run(cold(), every);
     assert_eq!(perturbed_run(cold(), 0).0, expected, "unhooked");
-    for warm in [None, Some(&table)] {
-        let what = if warm.is_some() { "warm" } else { "cold" };
-        let sparse = engine::<SparseActivity>(&protocol, &config, seed, warm);
-        assert_eq!(perturbed_run(sparse, every).0, expected, "{what} sparse");
-        let compact = engine::<CompactActivity>(&protocol, &config, seed, warm);
-        assert_eq!(perturbed_run(compact, every).0, expected, "{what} compact");
-    }
+    let compact = engine::<CompactActivity>(&protocol, &config, seed, None);
+    assert_eq!(perturbed_run(compact, every).0, expected, "cold compact");
+    let sparse = engine::<SparseActivity>(&protocol, &config, seed, Some(&table));
+    assert_eq!(perturbed_run(sparse, every).0, expected, "warm sparse");
+    let compact = engine::<CompactActivity>(&protocol, &config, seed, Some(&table));
+    assert_eq!(perturbed_run(compact, every).0, expected, "warm compact");
 }
 
 /// k = 3: 18 slots in one block; audit after every state change.
